@@ -16,7 +16,7 @@ remaining constants are forced by the standard two identities
         (no two opposite)   + N[c,a]N[b,d]/(c+a,c+a) = 0
 
 together with N[a,b] = -N[b,a] and N[-a,-b] = -N[a,b].  Every derived value
-is asserted to be an integer of absolute value q+1; antisymmetry and the
+is checked to be an integer of absolute value q+1; antisymmetry and the
 Jacobi identity are verified exhaustively by the test suite.
 """
 
@@ -215,7 +215,8 @@ class LieAlgebra:
             if k == 0:
                 continue
             num = k * rs.base[i - 1].dot(rs.base[i - 1])
-            assert num % aa == 0, "coroot expansion must be integral"
+            if num % aa:
+                raise ArithmeticError("coroot expansion must be integral")
             coeffs[self._hpos[i]] = num // aa
         return LieElement(self, coeffs)
 
@@ -348,9 +349,11 @@ def _structure_constants(rs: RootSystem) -> dict[tuple[Root, Root], int]:
             if d2 in rset:
                 total += n_any(-a, a1) * n_any(b1, -b) / Fraction(d2.dot(d2))
             val = gg * total / Fraction(npos[(a1, b1)])
-            assert val.denominator == 1, f"non-integral constant at {a}, {b}"
+            if val.denominator != 1:
+                raise ArithmeticError(f"non-integral constant at {a}, {b}")
             v = int(val)
-            assert abs(v) == qdown(b, a) + 1, f"bad magnitude at {a}, {b}"
+            if abs(v) != qdown(b, a) + 1:
+                raise ArithmeticError(f"bad magnitude at {a}, {b}")
             npos[(a, b)] = v
 
     nall: dict[tuple[Root, Root], int] = {}
@@ -359,9 +362,11 @@ def _structure_constants(rs: RootSystem) -> dict[tuple[Root, Root], int]:
             s = a + b
             if s in rset and a != b:
                 val = n_any(a, b)
-                assert val.denominator == 1
+                if val.denominator != 1:
+                    raise ArithmeticError(f"non-integral constant at {a}, {b}")
                 v = int(val)
-                assert abs(v) == qdown(b, a) + 1, f"bad magnitude at {a}, {b}"
+                if abs(v) != qdown(b, a) + 1:
+                    raise ArithmeticError(f"bad magnitude at {a}, {b}")
                 nall[(a, b)] = v
     return nall
 

@@ -736,20 +736,34 @@ class IndependenceReport:
 def verify_independence_truncated(cand: LeeCandidate, rep, bound: int, order=None) -> IndependenceReport:
     """Evaluate every candidate element with exponent sum <= bound in the
     representation, vectorize, and compute the exact rank over F_p.  Any
-    dependency comes back as an explicit coefficient combination."""
-    from .linalg import SparseEchelon
+    dependency comes back as an explicit coefficient combination: the tuple
+    that first falls into the span of the earlier ones with coefficient 1,
+    plus those earlier independent tuples."""
+    import numpy as np
+
+    from .linalg import kernel_mod_p
     from .redenv import evaluate
 
+    p = cand.p
     tuples = cand.tuples_with_bound(bound) if order is None else list(order)
-    ech = SparseEchelon(cand.p, track=True)
+    mats = [evaluate(cand.element(tup), rep).tocoo() for tup in tuples]
+    flat = [M.row.astype(np.int64) * rep.dim + M.col for M in mats]
+    cells = np.unique(np.concatenate(flat)) if flat else np.zeros(0, dtype=np.int64)
+    S = np.zeros((len(tuples), cells.size), dtype=np.int64)
+    for i, (M, f) in enumerate(zip(mats, flat)):
+        S[i, np.searchsorted(cells, f)] = M.data
+    # pivot columns of S.T are the greedily independent tuples; each free
+    # column's kernel vector is the unique dependency of that tuple on them
+    kernel = kernel_mod_p(S.T, p)
     witnesses = []
-    for tup in tuples:
-        M = evaluate(cand.element(tup), rep).tocoo()
-        vec = {(int(r), int(c)): int(v) for r, c, v in zip(M.row, M.col, M.data)}
-        added, combo = ech.insert(vec, tag=tup)
-        if not added:
-            witnesses.append(combo)
-    return IndependenceReport(count=len(tuples), rank=ech.rank, tuples=tuples, witnesses=witnesses)
+    for v in kernel:
+        combo: dict = {}
+        for j in np.nonzero(v)[0][::-1]:  # the dependent tuple first
+            combo[tuples[j]] = (combo.get(tuples[j], 0) + int(v[j])) % p
+        witnesses.append({t: c for t, c in combo.items() if c})
+    return IndependenceReport(
+        count=len(tuples), rank=len(tuples) - len(kernel), tuples=tuples, witnesses=witnesses
+    )
 
 
 def pairwise_distinct_normal_forms(cand: LeeCandidate, bound: int) -> bool:
@@ -795,8 +809,7 @@ def check_lee_conditions(
 ) -> LeeConditionsReport:
     """Dimension, irreducibility, truncated independence, and the c-scan of
     every parenthesis subexpression (singular values enumerated exactly)."""
-    from .linalg import rank_mod_p
-    from .redenv import evaluate, is_irreducible
+    from .redenv import invertible_in_rep, is_irreducible
 
     L = cand.algebra
     p = cand.p
@@ -812,11 +825,7 @@ def check_lee_conditions(
             signs = res.solved[0] if res.solved else tuple([1] * spec.sign_slots)
             env = {i + 1: s for i, s in enumerate(signs)}
             base = to_ue(spec.body, L.enveloping(), signs=env, c_value=0)
-            singular = []
-            for c in range(p):
-                A = evaluate(base + c, rep).toarray()
-                if rank_mod_p(A, p) < rep.dim:
-                    singular.append(c)
+            singular = [c for c in range(p) if not invertible_in_rep(base + c, rep)]
             scans[f"body[{spec.target.label}]"] = {
                 "singular": singular,
                 "invertible_choices": p - len(singular),

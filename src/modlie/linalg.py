@@ -11,38 +11,16 @@ def inv_mod(a: int, p: int) -> int:
     return pow(int(a) % p, -1, p)
 
 
-def rank_mod_p(A: np.ndarray, p: int) -> int:
-    """Exact rank over F_p by vectorized Gaussian elimination (destroys a copy)."""
-    M = np.array(A, dtype=np.int64, copy=True) % p
-    nrows, ncols = M.shape
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        col = M[r:, c]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            M[[r, piv], :] = M[[piv, r], :]
-        M[r, c:] = (M[r, c:] * inv_mod(M[r, c], p)) % p
-        below = M[r + 1 :, c]
-        rows = np.nonzero(below)[0]
-        if rows.size:
-            idx = rows + r + 1
-            M[idx, c:] = (M[idx, c:] - np.outer(M[idx, c], M[r, c:])) % p
-        r += 1
-    return r
-
-
-def kernel_mod_p(A: np.ndarray, p: int) -> list[np.ndarray]:
-    """Basis of the right kernel of A over F_p (list of int64 column vectors)."""
-    M = np.array(A, dtype=np.int64, copy=True) % p
+def _echelon(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Row echelon form of A over F_p by vectorized forward elimination.
+    Returns the reduced copy and its pivot columns; pivot row i leads with a 1
+    in column pivots[i], and the rows below the pivots are zero."""
+    M = np.array(A, dtype=np.int64, copy=True)
+    M %= p
     nrows, ncols = M.shape
     pivots: list[int] = []
-    r = 0
     for c in range(ncols):
+        r = len(pivots)
         if r == nrows:
             break
         nz = np.nonzero(M[r:, c])[0]
@@ -52,21 +30,30 @@ def kernel_mod_p(A: np.ndarray, p: int) -> list[np.ndarray]:
         if piv != r:
             M[[r, piv], :] = M[[piv, r], :]
         M[r, c:] = (M[r, c:] * inv_mod(M[r, c], p)) % p
-        others = np.nonzero(M[:, c])[0]
-        others = others[others != r]
-        if others.size:
-            M[others, c:] = (M[others, c:] - np.outer(M[others, c], M[r, c:])) % p
+        rows = np.nonzero(M[r + 1 :, c])[0]
+        if rows.size:
+            idx = rows + r + 1
+            M[idx, c:] = (M[idx, c:] - np.outer(M[idx, c], M[r, c:])) % p
         pivots.append(c)
-        r += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = np.zeros(ncols, dtype=np.int64)
-        v[fc] = 1
-        for row, pc in enumerate(pivots):
-            v[pc] = (-M[row, fc]) % p
-        basis.append(v)
-    return basis
+    return M, pivots
+
+
+def rank_mod_p(A: np.ndarray, p: int) -> int:
+    """Exact rank over F_p."""
+    return len(_echelon(A, p)[1])
+
+
+def kernel_mod_p(A: np.ndarray, p: int) -> list[np.ndarray]:
+    """Basis of the right kernel of A over F_p (list of int64 column vectors),
+    one vector per free column fc: 1 at fc, 0 at the other free columns."""
+    M, pivots = _echelon(A, p)
+    ncols = M.shape[1]
+    free = np.setdiff1d(np.arange(ncols), pivots)
+    X = np.zeros((free.size, ncols), dtype=np.int64)
+    X[np.arange(free.size), free] = 1
+    for row in range(len(pivots) - 1, -1, -1):
+        X[:, pivots[row]] = (-(X @ M[row])) % p
+    return list(X)
 
 
 class DenseEchelon:
@@ -103,75 +90,6 @@ class DenseEchelon:
 
     def contains(self, vec: np.ndarray) -> bool:
         return not np.any(self.reduce(vec))
-
-
-class SparseEchelon:
-    """Incremental echelon over F_p for sparse dict-vectors with arbitrary
-    orderable keys; optionally tracks the combination of inserted tags that
-    produced each row, so dependencies come with explicit witnesses."""
-
-    def __init__(self, p: int, track: bool = False):
-        self.p = p
-        self.track = track
-        self.rows: dict = {}  # leading key -> dict vector
-        self.combos: dict = {}  # leading key -> dict tag -> coeff
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    @staticmethod
-    def _clean(v: dict, p: int) -> dict:
-        return {k: c % p for k, c in v.items() if c % p}
-
-    def insert(self, vec: dict, tag=None):
-        """Insert; returns (added, witness). On a dependency the witness is the
-        tag combination summing to zero (only when tracking)."""
-        p = self.p
-        v = self._clean(vec, p)
-        combo = {tag: 1} if self.track else None
-        while v:
-            lead = min(v)
-            row = self.rows.get(lead)
-            if row is None:
-                inv = inv_mod(v[lead], p)
-                v = {k: (c * inv) % p for k, c in v.items()}
-                if self.track:
-                    combo = {t: (c * inv) % p for t, c in combo.items()}
-                    self.combos[lead] = combo
-                self.rows[lead] = v
-                return True, None
-            f = v[lead]
-            for k, c in row.items():
-                v[k] = (v.get(k, 0) - f * c) % p
-            v = {k: c for k, c in v.items() if c}
-            if self.track:
-                for t, c in self.combos[lead].items():
-                    combo[t] = (combo.get(t, 0) - f * c) % p
-                combo = {t: c for t, c in combo.items() if c}
-        return False, combo
-
-
-def rank_fractions(rows: list[list[Fraction]]) -> int:
-    """Exact rank over Q."""
-    M = [list(map(Fraction, r)) for r in rows]
-    if not M:
-        return 0
-    ncols = len(M[0])
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(M)) if M[i][c] != 0), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        pv = M[r][c]
-        M[r] = [x / pv for x in M[r]]
-        for i in range(len(M)):
-            if i != r and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
-        r += 1
-    return r
 
 
 class FractionEchelon:

@@ -63,10 +63,6 @@ class Character:
                 return False
         return True
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.values
-
 
 def compatible_lambdas(L: LieAlgebra, chi: Character) -> list[list[int]]:
     """Per-coroot solution sets of t^p - t = chi(h)^p in F_p (0 or p values each)."""
@@ -125,10 +121,6 @@ class MatrixRep:
     chi: Character
     lam: dict[int, int]
     _powers: dict = field(default_factory=dict, repr=False)
-
-    @property
-    def m(self) -> int:
-        return len(self.neg_positions)
 
     def identity(self) -> sp.csr_matrix:
         return sp.identity(self.dim, dtype=np.int64, format="csr")

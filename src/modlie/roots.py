@@ -209,17 +209,6 @@ class RootSystem:
     def height(self, r: Root) -> int:
         return sum(self.expansion(r))
 
-    def is_positive(self, r: Root) -> bool:
-        return self.height(r) > 0
-
-    @property
-    def positives(self) -> tuple[Root, ...]:
-        return tuple(r for r in self.roots if self.height(r) > 0)
-
-    @property
-    def num_positive(self) -> int:
-        return len(self.roots) // 2
-
     def index(self, r: Root) -> int:
         try:
             return self._index[r]
@@ -275,7 +264,7 @@ def weyl_orbit(beta: Root, rs: RootSystem) -> frozenset[Root]:
     """Closure of {beta} under the simple reflections.
 
     For the supported (irreducible) systems this equals the set of all roots
-    of the same squared length, which is asserted.
+    of the same squared length, which is checked.
     """
     if beta not in rs:
         raise RootNotInSystem(f"{beta} not in {rs.family}{rs.rank}")
@@ -291,7 +280,8 @@ def weyl_orbit(beta: Root, rs: RootSystem) -> frozenset[Root]:
                     nxt.append(s)
         frontier = nxt
     same_length = {r for r in rs.roots if r.sq_length == beta.sq_length}
-    assert seen == same_length, "orbit does not match the same-length root set"
+    if seen != same_length:
+        raise RuntimeError("orbit does not match the same-length root set")
     return frozenset(seen)
 
 

@@ -1,4 +1,6 @@
+import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from modlie.chevalley import bracket, build_chevalley
 from modlie.leebasis import (
@@ -18,7 +20,7 @@ from modlie.leebasis import (
     verify_independence_truncated,
 )
 from modlie.pbw import commutator, multiply, weight
-from modlie.redenv import Character, baby_verma, evaluate
+from modlie.redenv import Character, MatrixRep, baby_verma, evaluate
 from modlie.roots import Root, build_root_system, cartan_integer
 
 
@@ -302,6 +304,42 @@ def test_dependencies_get_witnesses(partial_candidate, b2_rep7):
     rpt = verify_independence_truncated(partial_candidate, b2_rep7, 1, order=rigged)
     assert rpt.rank == len(tuples)
     assert len(rpt.witnesses) == 1
+
+
+def test_zero_rep_dependencies_pinned(b2_p7, partial_candidate):
+    # every generator acts by 0 on a 1-dim space, so each element evaluates
+    # to its constant term: the identity spans, and 14 of 15 tuples depend
+    L = b2_p7
+    zero = MatrixRep(
+        algebra=L,
+        p=7,
+        dim=1,
+        neg_positions=(),
+        generators={b.position: sp.csr_matrix((1, 1), dtype=np.int64) for b in L.basis},
+        chi=Character(L, {}),
+        lam={},
+    )
+    rpt = verify_independence_truncated(partial_candidate, zero, 2)
+    assert (rpt.count, rpt.rank) == (15, 1)
+    assert rpt.witnesses == [
+        {(0, 0, 0, 1): 1},
+        {(0, 0, 0, 2): 1},
+        {(0, 0, 1, 0): 1},
+        {(0, 0, 1, 1): 1},
+        {(0, 0, 2, 0): 1},
+        {(0, 1, 0, 0): 1, (0, 0, 0, 0): 6},
+        {(0, 1, 0, 1): 1},
+        {(0, 1, 1, 0): 1},
+        {(0, 2, 0, 0): 1, (0, 0, 0, 0): 6},
+        {(1, 0, 0, 0): 1},
+        {(1, 0, 0, 1): 1},
+        {(1, 0, 1, 0): 1},
+        {(1, 1, 0, 0): 1},
+        {(2, 0, 0, 0): 1},
+    ]
+    for combo in rpt.witnesses:
+        total = sum(c * evaluate(partial_candidate.element(t), zero) for t, c in combo.items())
+        assert not (total.toarray() % 7).any()
 
 
 # -- a1-scale full conditions --------------------------------------------------

@@ -1,16 +1,14 @@
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
-from modlie.linalg import (
-    DenseEchelon,
-    FractionEchelon,
-    SparseEchelon,
-    kernel_mod_p,
-    rank_fractions,
-    rank_mod_p,
-)
+from modlie.linalg import DenseEchelon, FractionEchelon, kernel_mod_p, rank_mod_p
+
+
+def fraction_rank(rows) -> int:
+    ech = FractionEchelon(len(rows[0]))
+    for row in rows:
+        ech.insert(row)
+    return ech.rank
 
 
 def test_rank_mod_p_small():
@@ -25,13 +23,21 @@ def test_rank_mod_p_small():
 
 def test_rank_mod_p_random_vs_kernel():
     rng = np.random.default_rng(0)
-    for _ in range(20):
-        A = rng.integers(0, 7, size=(6, 9))
+    full = [rng.integers(0, 7, size=(6, 9)) for _ in range(20)]
+    # products of thin factors: rank <= k < 6, so pivot columns get skipped
+    thin = [
+        rng.integers(0, 7, size=(6, k)) @ rng.integers(0, 7, size=(k, 9))
+        for k in (0, 1, 2, 3, 4)
+        for _ in range(4)
+    ]
+    for A in full + thin:
         r = rank_mod_p(A, 7)
-        k = len(kernel_mod_p(A, 7))
-        assert r + k == 9
-        for v in kernel_mod_p(A, 7):
+        K = kernel_mod_p(A, 7)
+        assert r + len(K) == 9
+        for v in K:
             assert not ((A @ v) % 7).any()
+        if K:
+            assert rank_mod_p(np.array(K), 7) == len(K)  # a basis, not just kernel vectors
 
 
 def test_dense_echelon_membership():
@@ -44,16 +50,14 @@ def test_dense_echelon_membership():
     assert ech.rank == 2
 
 
-def test_sparse_echelon_witness():
-    ech = SparseEchelon(5, track=True)
-    added, _ = ech.insert({0: 1, 3: 2}, tag="a")
-    assert added
-    added, _ = ech.insert({3: 1}, tag="b")
-    assert added
-    added, combo = ech.insert({0: 2, 3: 4}, tag="c")
-    assert not added
-    # combo is a dependency certificate: sum coeff * vec(tag) = 0 mod 5
+def test_kernel_dependency_witness():
     vecs = {"a": {0: 1, 3: 2}, "b": {3: 1}, "c": {0: 2, 3: 4}}
+    tags = list(vecs)
+    # one column per tagged vector: the kernel holds their dependencies
+    cols = np.array([[vecs[t].get(k, 0) for t in tags] for k in range(4)])
+    (v,) = kernel_mod_p(cols, 5)
+    combo = {t: int(c) for t, c in zip(tags, v) if c}
+    # combo is a dependency certificate: sum coeff * vec(tag) = 0 mod 5
     acc = {}
     for tag, coef in combo.items():
         for k, v in vecs[tag].items():
@@ -64,7 +68,7 @@ def test_sparse_echelon_witness():
 
 def test_fraction_rank_and_echelon():
     rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
-    assert rank_fractions([[Fraction(x) for x in r] for r in rows]) == 2
+    assert fraction_rank(rows) == 2
     ech = FractionEchelon(3)
     assert ech.insert([1, 2, 3])
     assert not ech.insert([2, 4, 6])
@@ -75,6 +79,6 @@ def test_rank_mod_p_matches_fraction_rank_generic():
     rng = np.random.default_rng(7)
     for _ in range(10):
         A = rng.integers(-3, 4, size=(5, 5))
-        rq = rank_fractions([[Fraction(int(x)) for x in row] for row in A])
+        rq = fraction_rank(A.tolist())
         # over a large prime the mod-p rank agrees with the rational rank
         assert rank_mod_p(A, 10007) == rq
