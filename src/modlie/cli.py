@@ -25,7 +25,13 @@ import sys
 from dataclasses import asdict, dataclass, field
 
 from . import expr as xp
-from .chevalley import LieAlgebra, build_chevalley, check_subalgebra, extend_by_cartan
+from .chevalley import (
+    BadCharacteristic,
+    LieAlgebra,
+    build_chevalley,
+    check_subalgebra,
+    extend_by_cartan,
+)
 from .leebasis import (
     assemble,
     build_case_I,
@@ -40,13 +46,16 @@ from .leebasis import (
 from .pbw import is_central, commutator, to_string
 from .redenv import (
     Character,
+    IncompatibleWeight,
+    NonStandardCharacter,
+    NotModP,
     baby_verma,
     evaluate,
     is_irreducible,
     rep_check_brackets,
     rep_check_restrictedness,
 )
-from .roots import build_root_system, weyl_orbit
+from .roots import UnsupportedRank, build_root_system, weyl_orbit
 
 
 class ConfigError(ValueError):
@@ -128,7 +137,11 @@ def _parse_assignments(text: str) -> dict[str, int]:
 
 def load_config_file(path: str) -> dict:
     values: dict = {}
-    with open(path, encoding="utf-8") as fh:
+    try:
+        fh = open(path, encoding="utf-8")
+    except OSError as ex:
+        raise ConfigError(f"cannot read {path}: {ex.strerror}") from None
+    with fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -146,6 +159,11 @@ def load_config_file(path: str) -> dict:
 def _build_algebra(cfg: RunConfig) -> LieAlgebra:
     rs = build_root_system(cfg.family, cfg.rank)
     return build_chevalley(rs, cfg.p, allow_small=cfg.allow_small)
+
+
+def _require_family_B(cfg: RunConfig) -> None:
+    if cfg.family != "B":
+        raise ConfigError(f"template banks are defined for family B, got {cfg.family!r}")
 
 
 def _character(L: LieAlgebra, cfg: RunConfig) -> Character:
@@ -296,6 +314,7 @@ def _cmd_central(cfg: RunConfig) -> tuple[int, dict]:
 
 
 def _cmd_verify_lee(cfg: RunConfig) -> tuple[int, dict]:
+    _require_family_B(cfg)
     L = _build_algebra(cfg)
     report = verification_report(L, cfg.case, seed=cfg.seed)
     s = report["summary"]
@@ -357,6 +376,9 @@ def _cmd_irreducible(cfg: RunConfig) -> tuple[int, dict]:
 
 
 def _cmd_independence(cfg: RunConfig) -> tuple[int, dict]:
+    _require_family_B(cfg)
+    if not cfg.p:
+        raise ConfigError("independence needs p > 0: coefficient families live over F_p")
     L = _build_algebra(cfg)
     build = build_case_I if cfg.case == "I" else build_case_II
     specs = build(L)
@@ -498,7 +520,10 @@ def _merge_config(args) -> RunConfig:
     cfg = RunConfig()
     for key, val in raw.items():
         if key in ("rank", "p", "c", "bound", "seed", "trials"):
-            setattr(cfg, key, int(val))
+            try:
+                setattr(cfg, key, int(val))
+            except ValueError:
+                raise ConfigError(f"{key} must be an integer, got {val!r}") from None
         elif key == "allow_small":
             cfg.allow_small = val in (True, "1", "true", "yes")
         elif key in ("chi", "lambda"):
@@ -525,6 +550,15 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (xp.ParseError, xp.UnknownRoot) as ex:
         print(f"parse error: {ex}", file=sys.stderr)
+        return 2
+    except (
+        BadCharacteristic,
+        UnsupportedRank,
+        NotModP,
+        NonStandardCharacter,
+        IncompatibleWeight,
+    ) as ex:
+        print(f"error: {ex}", file=sys.stderr)
         return 2
     _emit(payload["report"], cfg, payload["human"])
     return code

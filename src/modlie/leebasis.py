@@ -735,18 +735,31 @@ class IndependenceReport:
 
 def verify_independence_truncated(cand: LeeCandidate, rep, bound: int, order=None) -> IndependenceReport:
     """Evaluate every candidate element with exponent sum <= bound in the
-    representation, vectorize, and compute the exact rank over F_p.  Any
-    dependency comes back as an explicit coefficient combination: the tuple
-    that first falls into the span of the earlier ones with coefficient 1,
-    plus those earlier independent tuples."""
+    representation and compute the exact rank over F_p.
+
+    Full rank is first tried by projection: a dependency among the matrices
+    is also one among their images of a fixed random vector, so images of
+    full rank prove the matrices independent (Wiedemann 1986).  Otherwise the
+    matrices are vectorized and eliminated exactly, and any dependency comes
+    back as an explicit coefficient combination: the tuple that first falls
+    into the span of the earlier ones with coefficient 1, plus those earlier
+    independent tuples."""
     import numpy as np
 
-    from .linalg import kernel_mod_p
+    from .linalg import check_int64_sum, kernel_mod_p, rank_mod_p
     from .redenv import evaluate
 
     p = cand.p
     tuples = cand.tuples_with_bound(bound) if order is None else list(order)
-    mats = [evaluate(cand.element(tup), rep).tocoo() for tup in tuples]
+    mats = [evaluate(cand.element(tup), rep) for tup in tuples]
+    if tuples:
+        check_int64_sum(p, rep.dim)
+        probe = np.random.default_rng(0).integers(0, p, size=rep.dim)
+        if rank_mod_p(np.array([(M @ probe) % p for M in mats]), p) == len(tuples):
+            return IndependenceReport(
+                count=len(tuples), rank=len(tuples), tuples=tuples, witnesses=[]
+            )
+    mats = [M.tocoo() for M in mats]
     flat = [M.row.astype(np.int64) * rep.dim + M.col for M in mats]
     cells = np.unique(np.concatenate(flat)) if flat else np.zeros(0, dtype=np.int64)
     S = np.zeros((len(tuples), cells.size), dtype=np.int64)

@@ -1,4 +1,10 @@
-"""Exact linear algebra over F_p and Q: ranks, kernels, incremental echelon forms."""
+"""Exact linear algebra over F_p and Q: ranks, kernels, incremental echelon forms.
+
+The F_p routines work on int64 residues in 0..p-1.  A product of two residues
+is below p^2, so a sum of n of them -- a matrix product over an axis of
+length n -- stays exact only while p^2 * n < 2^63; `check_int64_sum` enforces
+this wherever such a sum is taken.
+"""
 
 from __future__ import annotations
 
@@ -9,6 +15,12 @@ import numpy as np
 
 def inv_mod(a: int, p: int) -> int:
     return pow(int(a) % p, -1, p)
+
+
+def check_int64_sum(p: int, n: int) -> None:
+    """Raise ValueError unless n products of residues mod p sum exactly in int64."""
+    if p * p * n >= 2**63:
+        raise ValueError(f"p^2 * n = {p}^2 * {n} exceeds the int64 range")
 
 
 def _echelon(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -48,6 +60,7 @@ def kernel_mod_p(A: np.ndarray, p: int) -> list[np.ndarray]:
     one vector per free column fc: 1 at fc, 0 at the other free columns."""
     M, pivots = _echelon(A, p)
     ncols = M.shape[1]
+    check_int64_sum(p, ncols)
     free = np.setdiff1d(np.arange(ncols), pivots)
     X = np.zeros((free.size, ncols), dtype=np.int64)
     X[np.arange(free.size), free] = 1

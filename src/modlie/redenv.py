@@ -271,8 +271,27 @@ def evaluate(u: UEElement, rep: MatrixRep) -> sp.csr_matrix:
 
 
 def invertible_in_rep(u: UEElement, rep: MatrixRep) -> bool:
-    A = evaluate(u, rep).toarray()
-    return rank_mod_p(A, rep.p) == rep.dim
+    """True iff u acts invertibly on the module.
+
+    Ordering the strong components of rho(u)'s nonzero pattern topologically
+    is a symmetric permutation that makes rho(u) block upper triangular (Tarjan
+    1972), so rho(u) is invertible iff every diagonal block is: 1x1 blocks
+    are read off the diagonal, larger ones get an exact rank."""
+    # imported here, not at the top: csgraph adds about 11 MB of RSS to
+    # every process that loads redenv, most of which never test invertibility
+    from scipy.sparse.csgraph import connected_components
+
+    A = evaluate(u, rep)
+    ncomp, labels = connected_components(A, directed=True, connection="strong")
+    sizes = np.bincount(labels, minlength=ncomp)
+    singletons = sizes[labels] == 1
+    if not np.all(A.diagonal()[singletons] % rep.p):
+        return False
+    for comp in np.nonzero(sizes > 1)[0]:
+        idx = np.nonzero(labels == comp)[0]
+        if rank_mod_p(A[idx][:, idx].toarray(), rep.p) != idx.size:
+            return False
+    return True
 
 
 # -- representation invariants ------------------------------------------

@@ -73,6 +73,39 @@ def test_unknown_config_key_exit_two(tmp_path, capsys):
     assert "unknown key" in err
 
 
+BAD_INPUTS = [
+    # (argv, config file text or None, expected stderr fragment)
+    (["baby-verma", "--p", "0"], None, "positive characteristic"),
+    (["baby-verma", "--family", "B", "--rank", "1"], None, "rank >= 2"),
+    (["baby-verma", "--p", "9"], None, "not prime"),
+    (["baby-verma", "--p", "5"], None, "small-prime"),
+    (["verify-lee", "--family", "A"], None, "family B"),
+    (["independence", "--p", "0"], None, "over F_p"),
+    (["baby-verma", "--chi", "x(+e1)=1"], None, "positive root vectors"),
+    (
+        ["baby-verma", "--family", "A", "--rank", "1", "--p", "7",
+         "--chi", "h(e1)=1", "--lambda", "1=0"],
+        None,
+        "compatible weight",
+    ),
+    (["roots"], "rank=two\n", "must be an integer"),
+    (["roots", "--config", "missing.cfg"], None, "cannot read"),
+]
+
+
+@pytest.mark.parametrize("argv, config, fragment", BAD_INPUTS)
+def test_bad_input_exits_two_with_one_line(tmp_path, monkeypatch, capsys, argv, config, fragment):
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "bad.cfg").write_text(config)
+        argv = argv + ["--config", "bad.cfg"]
+    code, out, err = run_main(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert fragment in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_config_file_roundtrip(tmp_path, capsys):
     cfg = tmp_path / "ok.cfg"
     cfg.write_text("# comment\nfamily=B\nrank=2\np=7\ncase=II\nseed=3\n")

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -19,6 +21,7 @@ from modlie.leebasis import (
     verification_report,
     verify_independence_truncated,
 )
+from modlie.linalg import kernel_mod_p
 from modlie.pbw import commutator, multiply, weight
 from modlie.redenv import Character, MatrixRep, baby_verma, evaluate
 from modlie.roots import Root, build_root_system, cartan_integer
@@ -340,6 +343,31 @@ def test_zero_rep_dependencies_pinned(b2_p7, partial_candidate):
     for combo in rpt.witnesses:
         total = sum(c * evaluate(partial_candidate.element(t), zero) for t, c in combo.items())
         assert not (total.toarray() % 7).any()
+
+
+def exact_independence(cand, rep, tuples):
+    """Rank and dependencies of the evaluated tuples by exact elimination of
+    their flattened matrices, restricted to the cells any of them fills."""
+    S = sp.vstack([evaluate(cand.element(t), rep).reshape(1, -1) for t in tuples]).tocsc()
+    S = S[:, np.unique(S.tocoo().col)].toarray()
+    kernel = kernel_mod_p(S.T, cand.p)
+    return len(tuples) - len(kernel), kernel
+
+
+@pytest.mark.parametrize("bound, shuffled", [(1, False), (2, False), (2, True)])
+def test_independence_matches_exact_reference(partial_candidate, b2_rep7, bound, shuffled):
+    tuples = partial_candidate.tuples_with_bound(bound)
+    if shuffled:
+        random.Random(bound).shuffle(tuples)
+    rank, kernel = exact_independence(partial_candidate, b2_rep7, tuples)
+    assert rank == len(tuples) and kernel == []
+    rpt = verify_independence_truncated(partial_candidate, b2_rep7, bound, order=tuples)
+    assert (rpt.count, rpt.rank, rpt.tuples, rpt.witnesses) == (len(tuples), rank, tuples, [])
+
+
+def test_independence_empty_order(partial_candidate, b2_rep7):
+    rpt = verify_independence_truncated(partial_candidate, b2_rep7, 2, order=[])
+    assert (rpt.count, rpt.rank, rpt.tuples, rpt.witnesses) == (0, 0, [], [])
 
 
 # -- a1-scale full conditions --------------------------------------------------

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from modlie.linalg import DenseEchelon, FractionEchelon, kernel_mod_p, rank_mod_p
+from modlie.linalg import (
+    DenseEchelon,
+    FractionEchelon,
+    check_int64_sum,
+    kernel_mod_p,
+    rank_mod_p,
+)
 
 
 def fraction_rank(rows) -> int:
@@ -38,6 +44,16 @@ def test_rank_mod_p_random_vs_kernel():
             assert not ((A @ v) % 7).any()
         if K:
             assert rank_mod_p(np.array(K), 7) == len(K)  # a basis, not just kernel vectors
+
+
+def test_kernel_refuses_int64_overflow():
+    p = 2**31 - 1  # prime; (p - 1)^2 * 3 > 2^63 - 1
+    check_int64_sum(p, 2)
+    with pytest.raises(ValueError, match="int64"):
+        check_int64_sum(p, 3)
+    assert len(kernel_mod_p(np.array([[1, p - 1]]), p)) == 1
+    with pytest.raises(ValueError, match="int64"):
+        kernel_mod_p(np.array([[1, p - 1, p - 1]]), p)
 
 
 def test_dense_echelon_membership():

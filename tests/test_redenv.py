@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from modlie.chevalley import build_chevalley
 from modlie.linalg import rank_mod_p
@@ -236,6 +237,42 @@ def test_invertibility_scan_at_most_two_singular(a1_p5):
         assert len(singular) <= 2
         # scalar action pins the singular value exactly
         assert singular == [(-((lam + 1) ** 2)) % 5]
+
+
+def random_products_element(U, rng, p):
+    """A constant plus 1-3 scaled products of up to 3 generators."""
+    u = U.scalar(rng.randrange(p))
+    for _ in range(rng.randint(1, 3)):
+        term = U.scalar(rng.randrange(1, p))
+        for _ in range(rng.randint(1, 3)):
+            term = term * U.gen(rng.randrange(U.lie.n))
+        u = u + term
+    return u
+
+
+@pytest.mark.parametrize(
+    "family, rank, p",
+    [("A", 1, 7), ("A", 2, 5), ("B", 2, 5)],
+)
+def test_invertibility_matches_dense_rank(family, rank, p):
+    L = build_chevalley(build_root_system(family, rank), p, allow_small=True)
+    U = L.enveloping()
+    neg = next(b.position for b in L.basis if b.kind == "x" and L.rs.height(b.root) < 0)
+    rng = random.Random(f"{family}{rank}-{p}")
+    blocked = singular = 0
+    for chi in (Character(L, {}), Character(L, {neg: 1})):
+        lam = {i: rng.randrange(p) for i in range(1, L.l + 1)}
+        rep = baby_verma(L, chi, lam)
+        for _ in range(24):
+            u = random_products_element(U, rng, p)
+            A = evaluate(u, rep)
+            expected = rank_mod_p(A.toarray(), p) == rep.dim
+            assert invertible_in_rep(u, rep) == expected
+            _, labels = connected_components(A, directed=True, connection="strong")
+            blocked += np.bincount(labels).max() > 1
+            singular += not expected
+    # both block paths and both answers are exercised
+    assert blocked >= 8 and 8 <= singular <= 40
 
 
 # -- irreducibility ---------------------------------------------------------
