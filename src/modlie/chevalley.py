@@ -35,6 +35,10 @@ class BadCharacteristic(ValueError):
     """Characteristic outside the supported range (0 or a prime >= 7)."""
 
 
+class SmallCharacteristic(BadCharacteristic):
+    """A prime below 7 without the small-prime opt-in."""
+
+
 class MixedAlgebras(ValueError):
     """Elements of different algebras were combined."""
 
@@ -125,7 +129,7 @@ class LieAlgebra:
             if not _is_prime(p):
                 raise BadCharacteristic(f"p = {p} is not prime")
             if p < 7 and not allow_small:
-                raise BadCharacteristic(
+                raise SmallCharacteristic(
                     f"p = {p} < 7; pass allow_small=True for small-prime experiments"
                 )
             if p < 7:

@@ -28,6 +28,7 @@ from . import expr as xp
 from .chevalley import (
     BadCharacteristic,
     LieAlgebra,
+    SmallCharacteristic,
     build_chevalley,
     check_subalgebra,
     extend_by_cartan,
@@ -158,7 +159,12 @@ def load_config_file(path: str) -> dict:
 
 def _build_algebra(cfg: RunConfig) -> LieAlgebra:
     rs = build_root_system(cfg.family, cfg.rank)
-    return build_chevalley(rs, cfg.p, allow_small=cfg.allow_small)
+    try:
+        return build_chevalley(rs, cfg.p, allow_small=cfg.allow_small)
+    except SmallCharacteristic:
+        raise SmallCharacteristic(
+            f"p = {cfg.p} < 7; pass --allow-small for small-prime experiments"
+        ) from None
 
 
 def _require_family_B(cfg: RunConfig) -> None:
@@ -369,6 +375,7 @@ def _cmd_irreducible(cfg: RunConfig) -> tuple[int, dict]:
         "status": verdict.status,
         "span_dim": verdict.span_dim,
         "witness_dim": len(verdict.witness) if verdict.witness else None,
+        "certificate": verdict.certificate,
     }
     human = f"dim {rep.dim}: {verdict.status}"
     code = {"irreducible": 0, "submodule": 0, "inconclusive": 3}[verdict.status]

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .chevalley import LieAlgebra, LieElement, MixedAlgebras
-from .linalg import DenseEchelon, kernel_mod_p, rank_mod_p
+from .linalg import DenseEchelon, check_int64_sum, kernel_mod_p, rank_mod_p
 from .pbw import Mono, UEElement
 
 
@@ -337,93 +337,92 @@ def rep_check_restrictedness(rep: MatrixRep) -> bool:
 class IrreducibilityVerdict:
     status: str  # "irreducible" | "submodule" | "inconclusive"
     witness: list[np.ndarray] | None = None  # basis of an invariant subspace
-    span_dim: int | None = None  # word-span dimension when computed
+    span_dim: int | None = None  # dimension of the image of U when proven
+    certificate: dict | None = None  # the Norton trial behind the verdict
 
     @property
     def is_irreducible(self) -> bool:
         return self.status == "irreducible"
 
 
-def _spin(vectors, gens_dense, p: int, dim: int) -> DenseEchelon:
-    """Closure of the given vectors under the generator action."""
+def _spin(v: np.ndarray, gens: sp.csr_matrix, p: int) -> DenseEchelon:
+    """Echelon basis of the submodule that v generates; gens stacks the
+    generator matrices vertically, so one product gives every image of a row."""
     ech = DenseEchelon(p)
-    queue = []
-    for v in vectors:
-        if ech.insert(v):
-            queue.append(ech.rows[-1])
+    ech.insert(v)
     k = 0
-    while k < len(queue):
-        v = queue[k]
+    while k < ech.rank < v.size:
+        for w in (gens @ ech.rows[k]).reshape(-1, v.size) % p:
+            if ech.insert(w) and ech.rank == v.size:
+                break
         k += 1
-        for G in gens_dense:
-            w = (G @ v) % p
-            if ech.insert(w):
-                queue.append(ech.rows[-1])
     return ech
 
 
+def _eigenvalues(theta: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
+    """Roots in F_p of the minimal polynomial g of v under theta, hence
+    eigenvalues of theta.  Each Krylov row theta^k v carries the unit vector
+    e_k as a tail, so the first row whose head reduces to zero holds the
+    coefficients g_0..g_k in its tail."""
+    d = v.size
+    ech = DenseEchelon(p)
+    for k in range(d + 1):
+        ech.insert(np.concatenate([v, np.eye(1, d + 1, k, dtype=np.int64)[0]]))
+        if ech.pivots[-1] >= d:
+            break
+        v = (theta @ v) % p
+    values = np.zeros(p, dtype=np.int64)
+    for coef in ech.rows[-1][d:][::-1]:  # Horner at every point of F_p
+        values = (values * np.arange(p) + coef) % p
+    return np.nonzero(values == 0)[0]
+
+
 def is_irreducible(rep: MatrixRep, seed: int = 0, trials: int = 50) -> IrreducibilityVerdict:
-    """Burnside word-span test for dim <= 64 (span reaching dim^2 proves
-    irreducibility; otherwise an explicit invariant subspace is searched for).
-    Above that, a seeded randomized submodule search runs within the trial
-    budget and returns Inconclusive when nothing is found -- never a silent
-    Irreducible."""
+    """Norton's irreducibility test (Parker 1984; Holt & Rees 1994).
+
+    Trial t < `trials` forms theta from three words of length 1-2 drawn from
+    random.Random(t), numbered like the C MeatAxe's words so that the work is
+    the same at every seed, and tries each root c of the minimal polynomial
+    of a vector drawn from random.Random(seed).  One vector of
+    N = ker(theta - c) is spun under the generators and one of
+    ker((theta - c)^T) under their transposes; a proper spin, or the
+    annihilator of a proper dual spin, is returned as a submodule.  If
+    dim N = 1 and both spins are full, the module is irreducible --
+    absolutely, so the image of U is all d x d matrices (Burnside) and
+    span_dim = d^2.  When the trials run out the verdict is "inconclusive",
+    never a silent "irreducible"; so trials=0 gives it at every dim > 1."""
     p, d = rep.p, rep.dim
     if d == 1:
         return IrreducibilityVerdict("irreducible", span_dim=1)
-    gens = [rep.generators[b.position] for b in rep.algebra.basis]
-    if d <= 64:
-        dense = [G.toarray() % p for G in gens]
-        ech = DenseEchelon(p)
-        mats = []
-        queue = [np.eye(d, dtype=np.int64)]
-        k = 0
-        while k < len(queue):
-            M = queue[k]
-            k += 1
-            if ech.insert(M.flatten()):
-                mats.append(M)
-                if ech.rank == d * d:
-                    return IrreducibilityVerdict("irreducible", span_dim=d * d)
-                for G in dense:
-                    queue.append((M @ G) % p)
-        span_dim = ech.rank
-        # span is proper: hunt for an invariant subspace with explicit witness
-        candidates = []
-        for G in dense:
-            candidates.extend(kernel_mod_p(G, p))
-        rng = random.Random(seed)
-        for _ in range(10):
-            Z = sum(rng.randrange(p) * M for M in mats[: min(len(mats), 8)]) % p
-            candidates.extend(kernel_mod_p(Z, p))
-        candidates.extend(np.eye(d, dtype=np.int64))
-        for v in candidates:
-            if not np.any(v % p):
-                continue
-            spun = _spin([v], dense, p, d)
-            if 0 < spun.rank < d:
-                return IrreducibilityVerdict("submodule", witness=list(spun.rows), span_dim=span_dim)
-        return IrreducibilityVerdict("inconclusive", span_dim=span_dim)
-    # large-dimension path: randomized search only
+    check_int64_sum(p, d)  # each product below sums d residue products
+    positions = [b.position for b in rep.algebra.basis]
+    gens = sp.vstack([rep.generators[q] for q in positions], format="csr")
+    duals = sp.vstack([rep.generators[q].T for q in positions], format="csr")
     rng = random.Random(seed)
-    dense = None
     for t in range(trials):
-        if dense is None:
-            dense = [G.toarray() % p for G in gens]
-        if t % 5 == 4:
-            # kernel probing of a random short word combination
-            Z = np.zeros((d, d), dtype=np.int64)
-            for _ in range(3):
-                W = dense[rng.randrange(len(dense))].copy()
-                if rng.random() < 0.5:
-                    W = (W @ dense[rng.randrange(len(dense))]) % p
-                Z = (Z + rng.randrange(1, p) * W) % p
-            vecs = kernel_mod_p(Z, p)[:3]
-        else:
-            v = np.array([rng.randrange(p) for _ in range(d)], dtype=np.int64)
-            vecs = [v] if np.any(v) else []
-        for v in vecs:
-            spun = _spin([v], dense, p, d)
-            if 0 < spun.rank < d:
-                return IrreducibilityVerdict("submodule", witness=list(spun.rows))
+        w = random.Random(t)
+        word = [[w.randrange(1, p), [w.choice(positions) for _ in range(w.randint(1, 2))]]
+                for _ in range(3)]
+        theta = sp.csr_matrix((d, d), dtype=np.int64)
+        for coef, qs in word:
+            M = rep.generators[qs[0]]
+            for q in qs[1:]:
+                M = rep.matmul(M, rep.generators[q])
+            theta = theta + coef * M
+        theta = theta.toarray() % p
+        v = np.array([rng.randrange(p) for _ in range(d)], dtype=np.int64)
+        for c in _eigenvalues(theta, v, p):
+            A = (theta - c * np.eye(d, dtype=np.int64)) % p
+            null = kernel_mod_p(A, p)
+            for dual in (False, True):
+                u, G = (kernel_mod_p(A.T, p)[0], duals) if dual else (null[0], gens)
+                W = _spin(u, G, p).rows
+                if len(W) < d:
+                    witness = kernel_mod_p(np.array(W), p) if dual else W
+                    cert = {"method": "norton", "trial": t, "dual": dual, "witness_dim": len(witness)}
+                    return IrreducibilityVerdict("submodule", witness=witness, certificate=cert)
+            if len(null) == 1:
+                cert = {"method": "norton", "trial": t, "word": word, "eigenvalue": int(c),
+                        "nullity": 1, "spin_dims": [d, d]}
+                return IrreducibilityVerdict("irreducible", span_dim=d * d, certificate=cert)
     return IrreducibilityVerdict("inconclusive")

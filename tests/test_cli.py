@@ -229,6 +229,25 @@ def test_irreducible_inconclusive_exit_three(capsys):
     assert "inconclusive" in out
 
 
+def test_irreducible_report_certificate(capsys):
+    base = ["irreducible", "--family", "A", "--rank", "1", "--p", "7"]
+    code, out, _ = run_main(capsys, *base, "--chi", "x(-e1)=1")
+    doc = json.loads(out.split("\n", 1)[1])
+    assert code == 0 and doc["status"] == "irreducible" and doc["span_dim"] == 49
+    cert = doc["certificate"]
+    assert cert["method"] == "norton" and cert["nullity"] == 1 and cert["spin_dims"] == [7, 7]
+    code, out, _ = run_main(capsys, *base)
+    doc = json.loads(out.split("\n", 1)[1])
+    assert code == 0 and doc["status"] == "submodule" and doc["span_dim"] is None
+    assert doc["certificate"]["witness_dim"] == doc["witness_dim"]
+
+
+def test_small_prime_error_names_the_cli_flag(capsys):
+    code, out, err = run_main(capsys, "baby-verma", "--family", "A", "--rank", "1", "--p", "5")
+    assert code == 2 and out == ""
+    assert "--allow-small" in err and "allow_small=True" not in err
+
+
 def test_independence_command(capsys):
     code, out, _ = run_main(
         capsys,

@@ -373,6 +373,150 @@ def test_irreducible_at_p_eleven():
     assert verdict.status == "irreducible" and verdict.span_dim == 121
 
 
+def rref_p(rows, p):
+    """Reduced row echelon form over F_p and its pivot columns, by plain
+    Gauss-Jordan elimination, independent of modlie.linalg."""
+    M = np.array(rows, dtype=np.int64) % p
+    pivots = []
+    for c in range(M.shape[1]):
+        r = len(pivots)
+        if r == M.shape[0]:
+            break
+        nz = np.nonzero(M[r:, c])[0]
+        if nz.size == 0:
+            continue
+        M[[r, r + nz[0]]] = M[[r + nz[0], r]]
+        M[r] = M[r] * pow(int(M[r, c]), -1, p) % p
+        others = np.arange(len(M)) != r
+        M[others] = (M[others] - np.outer(M[others, c], M[r])) % p
+        pivots.append(c)
+    return M, pivots
+
+
+def null_vector(B, p):
+    """A nonzero right kernel vector of B over F_p: its first free column set to 1."""
+    M, pivots = rref_p(B, p)
+    free = next(c for c in range(B.shape[1]) if c not in pivots)
+    u = np.zeros(B.shape[1], dtype=np.int64)
+    u[free] = 1
+    u[pivots] = -M[: len(pivots), free] % p
+    return u
+
+
+def spin_dim(v, mats, p):
+    """Dimension of the span of v and all its images under the dense mats."""
+    pivots, rows = [], []
+
+    def add(w):
+        for piv, row in zip(pivots, rows):
+            w = (w - w[piv] * row) % p
+        nz = np.flatnonzero(w)
+        if nz.size:
+            pivots.append(nz[0])
+            rows.append(w * pow(int(w[nz[0]]), -1, p) % p)
+
+    add(np.asarray(v) % p)
+    k = 0
+    while k < len(rows) < len(v):
+        for G in mats:
+            add(G @ rows[k] % p)
+        k += 1
+    return len(rows)
+
+
+def assert_invariant_witness(rep, witness):
+    p, d = rep.p, rep.dim
+    W = np.array(witness, dtype=np.int64) % p
+    k = len(rref_p(W, p)[1])
+    assert 0 < k < d
+    images = [(G @ W.T).T % p for G in rep.generators.values()]
+    assert len(rref_p(np.vstack([W, *images]), p)[1]) == k
+
+
+def certified_operator(rep, verdict):
+    """theta - c rebuilt from an irreducible verdict's certificate, checked to
+    have nullity 1."""
+    cert = verdict.certificate
+    p, d = rep.p, rep.dim
+    assert cert["method"] == "norton" and cert["nullity"] == 1
+    assert cert["spin_dims"] == [d, d] and verdict.span_dim == d * d
+    theta = np.zeros((d, d), dtype=np.int64)
+    for coef, positions in cert["word"]:
+        assert 1 <= coef < p and 1 <= len(positions) <= 2
+        M = np.eye(d, dtype=np.int64)
+        for pos in positions:
+            M = M @ rep.generators[pos].toarray() % p
+        theta = (theta + coef * M) % p
+    A = (theta - cert["eigenvalue"] * np.eye(d, dtype=np.int64)) % p
+    assert rank_mod_p(A, p) == d - 1
+    return A
+
+
+def assert_certificate_replays(rep, verdict):
+    """Norton's criterion from the certificate: theta - c has nullity 1, and a
+    null vector of it and one of its transpose spin to the whole module under
+    the generators and their transposes."""
+    p, d = rep.p, rep.dim
+    A = certified_operator(rep, verdict)
+    dense = [G.toarray() % p for G in rep.generators.values()]
+    for B, mats in ((A, dense), (A.T, [G.T for G in dense])):
+        u = null_vector(B, p)
+        assert not np.any(B @ u % p)
+        assert spin_dim(u, mats, p) == d
+
+
+def a1_module(p, regular):
+    L = build_chevalley(build_root_system("A", 1), p, allow_small=p < 7)
+    chi = Character(L, {L.xpos(-E1): 1} if regular else {})
+    return baby_verma(L, chi, {1: 0})
+
+
+def test_trials_bound_every_dimension():
+    rep = a1_module(5, True)
+    assert is_irreducible(rep, trials=0).status == "inconclusive"
+    assert is_irreducible(rep).status == "irreducible"
+
+
+@pytest.mark.parametrize("p", [67, 101])
+def test_norton_certifies_large_a1(p):
+    rep = a1_module(p, True)
+    verdict = is_irreducible(rep)
+    assert verdict.status == "irreducible"
+    assert_certificate_replays(rep, verdict)
+
+
+def test_b2_p3_regular_character_irreducible():
+    L = build_chevalley(build_root_system("B", 2), 3, allow_small=True)
+    chi = Character(L, {L.xpos(-b): 1 for b in L.rs.base})
+    rep = baby_verma(L, chi, {})
+    verdict = is_irreducible(rep)
+    assert verdict.status == "irreducible"
+    assert_certificate_replays(rep, verdict)
+
+
+def test_a1_verdicts_agree_over_seeds():
+    for p in (31, 67):
+        for regular in (True, False):
+            rep = a1_module(p, regular)
+            for seed in range(50):
+                verdict = is_irreducible(rep, seed=seed)
+                if regular:
+                    assert verdict.status == "irreducible"
+                    certified_operator(rep, verdict)
+                else:
+                    assert verdict.status == "submodule" and verdict.span_dim is None
+                    assert verdict.certificate["witness_dim"] == len(verdict.witness)
+                    assert_invariant_witness(rep, verdict.witness)
+
+
+def test_norton_words_do_not_depend_on_seed():
+    # the seed picks only the Krylov vector, so every seed tries the same theta
+    for regular in (True, False):
+        rep = a1_module(31, regular)
+        certs = [is_irreducible(rep, seed=seed).certificate for seed in range(5)]
+        assert all(cert == certs[0] for cert in certs)
+
+
 def test_restricted_monomial_count_a1():
     # the reduced algebra's monomial basis has p^(dim L) elements, and reduce
     # lands inside it: spot-check by enumeration at rank one, p = 3
