@@ -22,7 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from . import expr as xp
 from .chevalley import (
@@ -63,25 +63,6 @@ class ConfigError(ValueError):
     pass
 
 
-CONFIG_KEYS = {
-    "family",
-    "rank",
-    "p",
-    "case",
-    "chi",
-    "lambda",
-    "c",
-    "bound",
-    "seed",
-    "out",
-    "trials",
-    "allow_small",
-    "span",
-    "extend_h",
-    "expr",
-}
-
-
 @dataclass
 class RunConfig:
     family: str = "B"
@@ -116,6 +97,16 @@ class RunConfig:
         d = asdict(self)
         d["lambda"] = d.pop("lam")
         return d
+
+
+def _config_key(name: str) -> str:
+    """The config-file key of a RunConfig field (or of the argparse dest)."""
+    return "lambda" if name == "lam" else name
+
+
+CONFIG_FIELDS = {_config_key(f.name): f for f in fields(RunConfig)}
+CONFIG_KEYS = set(CONFIG_FIELDS)
+BOOL_WORDS = dict.fromkeys(("1", "true", "yes"), True) | dict.fromkeys(("0", "false", "no"), False)
 
 
 def _parse_assignments(text: str) -> dict[str, int]:
@@ -501,48 +492,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_config(args) -> RunConfig:
-    raw: dict = {}
-    if args.config:
-        raw.update(load_config_file(args.config))
-    cli_map = {
-        "family": args.family,
-        "rank": args.rank,
-        "p": args.p,
-        "case": args.case,
-        "chi": args.chi,
-        "lambda": args.lam,
-        "c": args.c,
-        "bound": args.bound,
-        "seed": args.seed,
-        "out": args.out,
-        "trials": args.trials,
-        "allow_small": args.allow_small,
-        "span": args.span,
-        "extend_h": args.extend_h,
-        "expr": args.expr,
-    }
-    for k, v in cli_map.items():
-        if v is not None:
-            raw[k] = v
+    raw = load_config_file(args.config) if args.config else {}
+    for name, v in vars(args).items():
+        if _config_key(name) in CONFIG_KEYS and v is not None:
+            raw[_config_key(name)] = v
     cfg = RunConfig()
     for key, val in raw.items():
-        if key in ("rank", "p", "c", "bound", "seed", "trials"):
+        f = CONFIG_FIELDS[key]
+        if f.type == "int":
             try:
-                setattr(cfg, key, int(val))
+                val = int(val)
             except ValueError:
                 raise ConfigError(f"{key} must be an integer, got {val!r}") from None
-        elif key == "allow_small":
-            cfg.allow_small = val in (True, "1", "true", "yes")
-        elif key in ("chi", "lambda"):
-            parsed = _parse_assignments(val) if isinstance(val, str) else val
-            if key == "chi":
-                cfg.chi = parsed
-            else:
-                cfg.lam = parsed
-        elif key == "lam":
-            cfg.lam = val if isinstance(val, dict) else _parse_assignments(val)
-        else:
-            setattr(cfg, key, val)
+        elif f.type == "bool" and isinstance(val, str):
+            if val.lower() not in BOOL_WORDS:
+                raise ConfigError(f"{key} must be 1/true/yes or 0/false/no, got {val!r}")
+            val = BOOL_WORDS[val.lower()]
+        elif isinstance(val, str) and f.type.startswith("dict"):
+            val = _parse_assignments(val)
+        setattr(cfg, f.name, val)
     return cfg
 
 
@@ -566,6 +534,9 @@ def main(argv: list[str] | None = None) -> int:
         IncompatibleWeight,
     ) as ex:
         print(f"error: {ex}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: maximum recursion depth exceeded: the input nests or straightens too deeply", file=sys.stderr)
         return 2
     _emit(payload["report"], cfg, payload["human"])
     return code

@@ -659,11 +659,14 @@ class LeeCandidate:
                 self._cache[key] = multiply(self.factor_power(j, k - 1), self.factor_element(j))
         return self._cache[key]
 
-    def element(self, exponents: tuple[int, ...]) -> UEElement:
+    def check_exponents(self, exponents: tuple[int, ...]) -> None:
         if len(exponents) != self.size:
             raise ArityMismatch(f"expected {self.size} exponents, got {len(exponents)}")
         if any(not 0 <= e <= self.p - 1 for e in exponents):
             raise ValueError("exponents must lie in 0..p-1")
+
+    def element(self, exponents: tuple[int, ...]) -> UEElement:
+        self.check_exponents(exponents)
         out = self.algebra.enveloping().one()
         for j, e in enumerate(exponents):
             if e:
@@ -734,32 +737,40 @@ class IndependenceReport:
 
 
 def verify_independence_truncated(cand: LeeCandidate, rep, bound: int, order=None) -> IndependenceReport:
-    """Evaluate every candidate element with exponent sum <= bound in the
-    representation and compute the exact rank over F_p.
+    """Exact rank over F_p of the candidate elements with exponent sum <=
+    bound, evaluated in the representation.
 
     Full rank is first tried by projection: a dependency among the matrices
     is also one among their images of a fixed random vector, so images of
-    full rank prove the matrices independent (Wiedemann 1986).  Otherwise the
-    matrices are vectorized and eliminated exactly, and any dependency comes
-    back as an explicit coefficient combination: the tuple that first falls
-    into the span of the earlier ones with coefficient 1, plus those earlier
-    independent tuples."""
+    full rank prove the matrices independent (Wiedemann 1986).  rho is a
+    homomorphism, so each image is the probe with the factor elements
+    applied one exponent at a time, rightmost factor first; no PBW product
+    and no matrix is formed.  Otherwise the matrices are vectorized and
+    eliminated exactly, and any dependency comes back as an explicit
+    coefficient combination: the tuple that first falls into the span of the
+    earlier ones with coefficient 1, plus those earlier independent tuples."""
     import numpy as np
 
-    from .linalg import check_int64_sum, kernel_mod_p, rank_mod_p
-    from .redenv import evaluate
+    from .linalg import kernel_mod_p, rank_mod_p
+    from .redenv import apply, evaluate
 
     p = cand.p
     tuples = cand.tuples_with_bound(bound) if order is None else list(order)
-    mats = [evaluate(cand.element(tup), rep) for tup in tuples]
     if tuples:
-        check_int64_sum(p, rep.dim)
         probe = np.random.default_rng(0).integers(0, p, size=rep.dim)
-        if rank_mod_p(np.array([(M @ probe) % p for M in mats]), p) == len(tuples):
+        images = []
+        for tup in tuples:
+            cand.check_exponents(tup)
+            v = probe
+            for j in reversed(range(len(tup))):
+                for _ in range(tup[j]):
+                    v = apply(cand.factor_element(j), rep, v)
+            images.append(v)
+        if rank_mod_p(np.array(images), p) == len(tuples):
             return IndependenceReport(
                 count=len(tuples), rank=len(tuples), tuples=tuples, witnesses=[]
             )
-    mats = [M.tocoo() for M in mats]
+    mats = [evaluate(cand.element(tup), rep).tocoo() for tup in tuples]
     flat = [M.row.astype(np.int64) * rep.dim + M.col for M in mats]
     cells = np.unique(np.concatenate(flat)) if flat else np.zeros(0, dtype=np.int64)
     S = np.zeros((len(tuples), cells.size), dtype=np.int64)

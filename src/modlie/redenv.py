@@ -120,7 +120,6 @@ class MatrixRep:
     generators: dict[int, sp.csr_matrix]
     chi: Character
     lam: dict[int, int]
-    _powers: dict = field(default_factory=dict, repr=False)
 
     def identity(self) -> sp.csr_matrix:
         return sp.identity(self.dim, dtype=np.int64, format="csr")
@@ -130,16 +129,6 @@ class MatrixRep:
         C.data %= self.p
         C.eliminate_zeros()
         return C
-
-    def power(self, pos: int, k: int) -> sp.csr_matrix:
-        if k == 0:
-            return self.identity()
-        key = (pos, k)
-        hit = self._powers.get(key)
-        if hit is None:
-            hit = self.matmul(self.power(pos, k - 1), self.generators[pos])
-            self._powers[key] = hit
-        return hit
 
     def is_zero_matrix(self, A: sp.csr_matrix) -> bool:
         B = A.copy()
@@ -252,22 +241,38 @@ def export_text(rep: MatrixRep) -> str:
     return "\n".join(lines) + "\n"
 
 
-def evaluate(u: UEElement, rep: MatrixRep) -> sp.csr_matrix:
-    """Image of u under the algebra homomorphism extending the generator
-    matrices; factors through reduce(., rep.chi)."""
+def apply(u: UEElement, rep: MatrixRep, X):
+    """rho(u) X mod p for X a vector, a dense block or a sparse matrix.
+
+    Each monomial of reduce(u, rep.chi) applies its generator factors to X
+    from right to left, so no power of a generator is ever formed."""
     if u.uea.lie is not rep.algebra:
         raise MixedAlgebras("element and representation over different algebras")
-    r = reduce(u, rep.chi)
-    total = sp.csr_matrix((rep.dim, rep.dim), dtype=np.int64)
-    for m, c in r.terms.items():
-        M = rep.identity()
-        for pos, e in m:
-            M = rep.matmul(M, rep.power(pos, e))
-        total = total + c * M
-    total = total.tocsr()
-    total.data %= rep.p
-    total.eliminate_zeros()
+    p = rep.p
+    check_int64_sum(p, rep.dim)  # each product sums dim residue products
+
+    def mod(Y):
+        if sp.issparse(Y):
+            Y = Y.tocsr()
+            Y.data %= p
+            Y.eliminate_zeros()
+            return Y
+        return Y % p
+
+    total = mod(0 * X)
+    for m, c in reduce(u, rep.chi).terms.items():
+        Y = X
+        for pos, e in reversed(m):
+            for _ in range(e):
+                Y = mod(rep.generators[pos] @ Y)
+        total = mod(total + c * Y)
     return total
+
+
+def evaluate(u: UEElement, rep: MatrixRep) -> sp.csr_matrix:
+    """Image of u under the algebra homomorphism extending the generator
+    matrices, as the sparse matrix apply(u, rep, I)."""
+    return apply(u, rep, rep.identity())
 
 
 def invertible_in_rep(u: UEElement, rep: MatrixRep) -> bool:
@@ -318,7 +323,11 @@ def rep_check_restrictedness(rep: MatrixRep) -> bool:
     L = rep.algebra
     p = rep.p
     for b in L.basis:
-        lhs = rep.power(b.position, p)
+        # p products by hand: apply would rewrite x^p through reduce, which
+        # is the identity under test
+        lhs = rep.identity()
+        for _ in range(p):
+            lhs = rep.matmul(lhs, rep.generators[b.position])
         rhs = sp.csr_matrix((rep.dim, rep.dim), dtype=np.int64)
         for k, c in L.pmap[b.position].items():
             rhs = rhs + c * rep.generators[k]

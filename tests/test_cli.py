@@ -1,5 +1,6 @@
 import json
 import pathlib
+from contextlib import nullcontext
 
 import pytest
 
@@ -90,6 +91,13 @@ BAD_INPUTS = [
     ),
     (["roots"], "rank=two\n", "must be an integer"),
     (["roots", "--config", "missing.cfg"], None, "cannot read"),
+    (["roots"], "allow_small=maybe\n", "allow_small must be"),
+    (
+        ["normalform", "(" * 400 + "x(+e1)" + ")" * 400,
+         "--family", "A", "--rank", "1", "--p", "7"],
+        None,
+        "recursion depth",
+    ),
 ]
 
 
@@ -114,6 +122,21 @@ def test_config_file_roundtrip(tmp_path, capsys):
     code, out, _ = run_main(capsys, "roots", "--config", str(cfg))
     assert code == 0
     assert "B2" in out
+
+
+@pytest.mark.parametrize(
+    "value, code", [("True", 0), ("YES", 0), ("1", 0), ("false", 2), ("No", 2), ("0", 2)]
+)
+def test_config_file_allow_small(tmp_path, capsys, value, code):
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(f"family=A\nrank=1\np=5\nallow_small={value}\n")
+    with pytest.warns(UserWarning) if code == 0 else nullcontext():
+        got, out, err = run_main(capsys, "baby-verma", "--config", str(cfg))
+    assert got == code
+    if code == 0:
+        assert "dim 5" in out
+    else:
+        assert "--allow-small" in err
 
 
 def test_struct_table_golden(tmp_path, capsys):

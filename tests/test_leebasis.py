@@ -365,6 +365,35 @@ def test_independence_matches_exact_reference(partial_candidate, b2_rep7, bound,
     assert (rpt.count, rpt.rank, rpt.tuples, rpt.witnesses) == (len(tuples), rank, tuples, [])
 
 
+def test_full_rank_projection_forms_no_product_or_matrix(monkeypatch, partial_candidate, b2_rep7):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the full-rank path must not form a product or a matrix")
+
+    monkeypatch.setattr("modlie.leebasis.LeeCandidate.element", forbidden)
+    monkeypatch.setattr("modlie.redenv.evaluate", forbidden)
+    rpt = verify_independence_truncated(partial_candidate, b2_rep7, 2)
+    assert (rpt.count, rpt.rank, rpt.witnesses) == (15, 15, [])
+
+
+def test_projection_images_are_the_element_images(monkeypatch, partial_candidate, b2_rep7):
+    import modlie.linalg
+
+    ranked = []
+    original = modlie.linalg.rank_mod_p
+
+    def recording(A, p):
+        ranked.append(np.array(A))
+        return original(A, p)
+
+    monkeypatch.setattr("modlie.linalg.rank_mod_p", recording)
+    tuples = partial_candidate.tuples_with_bound(2)
+    verify_independence_truncated(partial_candidate, b2_rep7, 2)
+    probe = np.random.default_rng(0).integers(0, 7, size=b2_rep7.dim)
+    expected = [(evaluate(partial_candidate.element(t), b2_rep7) @ probe) % 7 for t in tuples]
+    assert len(ranked) == 1
+    assert np.array_equal(ranked[0], np.array(expected))
+
+
 def test_independence_empty_order(partial_candidate, b2_rep7):
     rpt = verify_independence_truncated(partial_candidate, b2_rep7, 2, order=[])
     assert (rpt.count, rpt.rank, rpt.tuples, rpt.witnesses) == (0, 0, [], [])

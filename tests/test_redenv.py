@@ -14,6 +14,7 @@ from modlie.redenv import (
     IncompatibleWeight,
     NonStandardCharacter,
     NotModP,
+    apply,
     baby_verma,
     compatible_lambdas,
     evaluate,
@@ -273,6 +274,77 @@ def test_invertibility_matches_dense_rank(family, rank, p):
             singular += not expected
     # both block paths and both answers are exercised
     assert blocked >= 8 and 8 <= singular <= 40
+
+
+def power_terms_element(U, rng, p):
+    """A constant plus two scaled products of generator powers, one exponent
+    in each product at least p, so that reduce has to rewrite it."""
+    u = U.scalar(rng.randrange(p))
+    for _ in range(2):
+        term = U.scalar(rng.randrange(1, p)) * U.gen(rng.randrange(U.lie.n)) ** rng.randint(p, p + 2)
+        for _ in range(rng.randint(0, 1)):
+            term = term * U.gen(rng.randrange(U.lie.n)) ** rng.randint(1, 2)
+        u = u + term
+    return u
+
+
+def chain_matrix(u, rep):
+    """rho(u) from the generator matrices alone: every unreduced monomial as
+    a left-to-right chain of sparse products, with no call to reduce."""
+    p = rep.p
+    total = np.zeros((rep.dim, rep.dim), dtype=np.int64)
+    for m, c in u.terms.items():
+        M = rep.identity()
+        for pos, e in m:
+            for _ in range(e):
+                M = (M @ rep.generators[pos]).tocsr()
+                M.data %= p
+        total = (total + c * M.toarray()) % p
+    return total
+
+
+@pytest.fixture(scope="module", params=["A1-p7", "B2-p5"])
+def apply_case(request):
+    if request.param == "A1-p7":
+        L = build_chevalley(build_root_system("A", 1), 7)
+        chi = Character(L, {L.xpos(-E1): 1})
+        return baby_verma(L, chi, {1: 0}), 5
+    L = build_chevalley(build_root_system("B", 2), 5, allow_small=True)
+    chi = Character(L, {L.xpos(Root((-1, 0))): 1})
+    return baby_verma(L, chi, {1: 0, 2: 0}), 2
+
+
+def test_apply_matches_evaluate_on_vectors_blocks_and_sparse(apply_case):
+    rep, count = apply_case
+    p, d = rep.p, rep.dim
+    U = rep.algebra.enveloping()
+    rng = random.Random(f"apply-{p}")
+    nrng = np.random.default_rng(p)
+    rewritten = 0
+    for _ in range(count):
+        u = power_terms_element(U, rng, p)
+        rewritten += reduce(u, rep.chi) != u
+        A = evaluate(u, rep)
+        v = nrng.integers(0, p, size=d)
+        B = nrng.integers(0, p, size=(d, 3))
+        S = sp.random(d, d, density=3 / d, format="csr", random_state=p, dtype=np.float64)
+        S.data = nrng.integers(1, p, size=S.nnz)
+        S = S.astype(np.int64)
+        assert np.array_equal(apply(u, rep, v), (A @ v) % p)
+        assert np.array_equal(apply(u, rep, B), (A @ B) % p)
+        image = apply(u, rep, S)
+        assert sp.issparse(image)
+        assert rep.mats_equal(image, rep.matmul(A, S))
+    assert rewritten == count
+
+
+def test_evaluate_matches_generator_chain(apply_case):
+    rep, count = apply_case
+    U = rep.algebra.enveloping()
+    rng = random.Random(f"chain-{rep.p}")
+    for _ in range(count):
+        u = power_terms_element(U, rng, rep.p)
+        assert np.array_equal(evaluate(u, rep).toarray(), chain_matrix(u, rep))
 
 
 # -- irreducibility ---------------------------------------------------------
