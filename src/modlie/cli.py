@@ -12,8 +12,9 @@ Commands
     check-subalgebra  closure verdict for a span (with optional Cartan extension)
 
 Exit codes: 0 all asserted checks passed; 1 a check produced a counterexample
-(with certificate); 2 usage or configuration error; 3 inconclusive verdicts
-present.  Reports are JSON with sorted keys: identical config and seed give
+(with certificate); 2 usage or configuration error, including a p too large
+for exact int64 arithmetic; 3 inconclusive verdicts present.  Warnings, such
+as running at a small characteristic, are written as one `warning:` line.  Reports are JSON with sorted keys: identical config and seed give
 byte-identical bytes.
 """
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import asdict, dataclass, field, fields
 
 from . import expr as xp
@@ -44,6 +46,7 @@ from .leebasis import (
     verify_independence_truncated,
     ExhaustedField,
 )
+from .linalg import Int64Overflow
 from .pbw import is_central, commutator, to_string
 from .redenv import (
     Character,
@@ -514,9 +517,14 @@ def _merge_config(args) -> RunConfig:
     return cfg
 
 
+def _warning_line(message, category, filename, lineno, line=None) -> str:
+    return f"warning: {message}\n"
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
+    warnings.formatwarning, default_format = _warning_line, warnings.formatwarning
     try:
         cfg = _merge_config(args)
         code, payload = run(args.command, cfg)
@@ -532,12 +540,15 @@ def main(argv: list[str] | None = None) -> int:
         NotModP,
         NonStandardCharacter,
         IncompatibleWeight,
+        Int64Overflow,
     ) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
     except RecursionError:
         print("error: maximum recursion depth exceeded: the input nests or straightens too deeply", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = default_format
     _emit(payload["report"], cfg, payload["human"])
     return code
 

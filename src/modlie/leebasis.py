@@ -9,11 +9,13 @@ returned with their nonzero commutator normal forms, so a formula that
 admits no commuting sign choice is itself a reportable finding rather than
 an error.
 
-The printed template banks are transcribed exactly, including their odd
-spots; the case-I family for targets -e1 +- e_j additionally carries a bank
-of nearby prefactor variants (sign/index repairs) whose verdicts are
-reported alongside the original.  Templates that reference e3 at rank 2 are
-emitted as impossible_for_rank markers instead of being silently dropped.
+Both cases come from one template table, transcribed from the printed
+banks with their odd spots: apart from x_alpha and its shifted Casimir, each
+body is a pair sum c + x(g0) x(-g0) +- x(g1) x(-g1) +- ... under a
+prefactor.  The case-I family for targets -e1 +- e_j additionally carries
+nearby prefactor variants (sign/index repairs) whose verdicts are reported
+alongside the original.  Templates that reference e3 at rank 2 are emitted
+as impossible_for_rank markers instead of being silently dropped.
 
 Candidates pair each solved A_i with a Cartan element B_i (coefficient
 vectors on the moment curve, every min(l, count)-subset independent, and
@@ -26,8 +28,9 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .chevalley import LieAlgebra, LieElement, bracket
+from .chevalley import LieAlgebra, LieElement
 from .expr import Add, Const, Expr, Mul, Num, Pow, SignSlot, XAtom, HAtom, print_expr, to_ue
 from .pbw import UEElement, commutator, multiply, to_string, weight
 from .roots import Root, cartan_integer
@@ -83,259 +86,127 @@ class TemplateVariant:
     body: Expr
     sign_slots: int
 
-    @property
-    def display(self) -> str:
-        return f"{print_expr(self.prefactor)} ({print_expr(self.body)})"
+    def expression(self) -> Expr:
+        return Mul((self.prefactor, self.body))
 
 
 class _RankUnavailable(Exception):
-    def __init__(self, reason: str):
-        self.reason = reason
+    """A template references a coordinate beyond the rank."""
 
 
-def _X(r: Root | None) -> XAtom:
-    if r is None:
-        raise _RankUnavailable("references a coordinate beyond this rank")
+class _Entry(NamedTuple):
+    """One template of a bank; `reason` says why it is impossible at this rank."""
+
+    origin: str
+    prefactor: Expr | None = None
+    body: Expr | None = None
+    variants: tuple[TemplateVariant, ...] = ()
+    reason: str | None = None
+
+
+def _X(r: Root) -> XAtom:
     return XAtom(r.coords)
 
 
-def _nslots(e: Expr) -> int:
+def _nslots(*exprs: Expr | None) -> int:
     found = set()
-
-    def walk(node):
+    stack = list(exprs)
+    while stack:
+        node = stack.pop()
         if isinstance(node, SignSlot):
             found.add(node.index)
         elif isinstance(node, Add):
-            for i in node.items:
-                walk(i)
+            stack += node.items
         elif isinstance(node, Mul):
-            for f in node.factors:
-                walk(f)
+            stack += node.factors
         elif isinstance(node, Pow):
-            walk(node.base)
-
-    walk(e)
+            stack.append(node.base)
     return len(found)
 
 
-def _pair(a: Expr, b: Expr) -> Expr:
-    return Mul((a, b))
+def _pairs(*gammas: Root) -> Add:
+    """c + x(g0) x(-g0) + s1 x(g1) x(-g1) + ...: the k-th pair after the
+    first carries SignSlot(k)."""
+    prods = [Mul((_X(g), _X(-g))) for g in gammas]
+    return Add((Const("c"), prods[0], *(Mul((SignSlot(k), m)) for k, m in enumerate(prods[1:], 1))))
 
 
-def _signed(k: int, term: Expr) -> Expr:
-    return Mul((SignSlot(k), term))
+def _casimir(alpha: Root) -> Add:
+    """c + (h_alpha + 1)^2 + 4 x(-alpha) x(alpha): the shifted Casimir of the
+    sl2 of alpha."""
+    h = Add((HAtom(coords=alpha.coords), Num(1)))
+    return Add((Const("c"), Pow(h, 2), Mul((Num(4), _X(-alpha), _X(alpha)))))
 
 
-def _slot_order_case_I(L: LieAlgebra) -> list[Root]:
-    rs = L.rs
-    l = rs.rank
-    e = lambda i: rs.unit(i)
-    order: list[Root] = [e(1), -e(1)]
+def _slot_order(L: LieAlgebra, case: str) -> list[Root]:
+    """(e1, -e1 in case I,) e_i - e_{i+1} and its negative for i < l, +-e_l,
+    then the remaining roots in canonical order."""
+    e, l = L.rs.unit, L.rs.rank
+    order = [e(1), -e(1)] if case == "I" else []
     for i in range(1, l):
         order += [e(i) - e(i + 1), e(i + 1) - e(i)]
     order += [e(l), -e(l)]
-    rest = [r for r in rs.roots if r not in set(order)]
-    return order + rest  # rest inherits the canonical root order
+    return order + [r for r in L.rs.roots if r not in order]
 
 
-def _slot_order_case_II(L: LieAlgebra) -> list[Root]:
-    rs = L.rs
-    l = rs.rank
-    e = lambda i: rs.unit(i)
-    order: list[Root] = []
-    for i in range(1, l):
-        order += [e(i) - e(i + 1), e(i + 1) - e(i)]
-    order += [e(l), -e(l)]
-    rest = [r for r in rs.roots if r not in set(order)]
-    return order + rest
+def _bank(L: LieAlgebra, case: str) -> dict[Root, list[_Entry]]:
+    """target -> printed templates, in printed order, for the root alpha of
+    the case.  Both +-e2 targets of case I pair e2, and the case-I target
+    -e1 + f (f = +-e_j, j >= 3) keeps its printed prefactor x(-e2 + f) beside
+    three repair variants."""
+    l = L.rs.rank
+    bank: dict[Root, list[_Entry]] = {}
 
+    def e(i: int) -> Root:
+        if i > l:
+            raise _RankUnavailable(f"references e{i} at rank {l}")
+        return L.rs.unit(i)
 
-def _bank_case_I(L: LieAlgebra) -> dict[Root, list[tuple[str, Expr | None, Expr, tuple]]]:
-    """target -> [(origin, prefactor, body, variants)] in printed order."""
-    rs = L.rs
-    l = rs.rank
-    e = lambda i: rs.unit(i)
-    c = Const("c")
-    bank: dict[Root, list] = {}
-
-    def put(target, origin, prefactor, body, variants=()):
-        bank.setdefault(target, []).append((origin, prefactor, body, variants))
-
-    put(e(1), "direct", None, _X(e(1)))
-    put(
-        -e(1),
-        "casimir",
-        None,
-        Add((c, Pow(Add((HAtom(coords=e(1).coords), Num(1))), 2), Mul((Num(4), _X(-e(1)), _X(e(1)))))),
-    )
-    # targets -e1 +- e2: prefactor x(e1 +- e2), three quadratic products
-    for s in (1, -1):
-        se2 = Root(tuple(s * x for x in e(2).coords))
-        t = -e(1) + se2
-        pre = _X(e(1) + se2)
-        body = Add(
-            (
-                c,
-                _pair(_X(t), _X(-t)),
-                _signed(1, _pair(_X(se2), _X(-se2))),
-                _signed(2, _pair(_X(e(1) + se2), _X(-(e(1) + se2)))),
-            )
-        )
-        put(t, "bank", pre, body)
-    # targets -e1 +- e_j, j >= 3: printed prefactor x(-e2 +- e_j) plus repair variants
-    for j in range(3, l + 1):
-        for s in (1, -1):
-            sej = Root(tuple(s * x for x in e(j).coords))
-            t = -e(1) + sej
-            body = Add(
-                (
-                    c,
-                    _pair(_X(sej - e(1)), _X(e(1) - sej)),
-                    _signed(1, _pair(_X(sej), _X(-sej))),
-                    _signed(2, _pair(_X(e(1) + sej), _X(-(e(1) + sej)))),
-                )
-            )
-            printed_pre = _X(-e(2) + sej)
-            variants = tuple(
-                TemplateVariant(f"prefactor x({pref.label})", _X(pref), body, 2)
-                for pref in (e(2) + sej, e(1) + sej, -e(2) - sej)
-            )
-            put(t, "bank", printed_pre, body, variants)
-    # targets +-e2: squared prefactor x(e3 +- e2)^2 (rank >= 3)
-    for s in (1, -1):
-        se2 = Root(tuple(s * x for x in e(2).coords))
-        t = se2
+    def put(target: Root, origin: str, template) -> None:
+        """template() -> (prefactor, body[, variants])."""
         try:
-            pre = Pow(_X(e(3) + se2 if e(3) is not None else None), 2)
-        except _RankUnavailable:
-            bank.setdefault(t, []).append(("bank", "impossible", f"references e3 at rank {l}", ()))
-            continue
-        body = Add(
-            (
-                c,
-                _pair(_X(e(2)), _X(-e(2))),
-                _signed(1, _pair(_X(e(1) + e(2)), _X(-(e(1) + e(2))))),
-                _signed(2, _pair(_X(e(2) - e(1)), _X(e(1) - e(2)))),
-            )
-        )
-        put(t, "bank", pre, body)
-    # targets +-e_j, j >= 3
-    for j in range(3, l + 1):
-        t = e(j)
-        body = Add(
-            (
-                c,
-                _pair(_X(e(j)), _X(-e(j))),
-                _signed(1, _pair(_X(e(1) + e(j)), _X(-(e(1) + e(j))))),
-                _signed(2, _pair(_X(e(j) - e(1)), _X(e(1) - e(j)))),
-            )
-        )
-        put(t, "bank", _X(e(2) + e(j)), body)
-        t = -e(j)
-        body = Add(
-            (
-                c,
-                _pair(_X(-e(j)), _X(e(j))),
-                _signed(1, _pair(_X(e(1) - e(j)), _X(-(e(1) - e(j))))),
-                _signed(2, _pair(_X(-e(j) - e(1)), _X(e(1) + e(j)))),
-            )
-        )
-        put(t, "bank", _X(e(2) - e(j)), body)
-    return bank
+            entry = _Entry(origin, *template())
+        except _RankUnavailable as ex:
+            entry = _Entry(origin, reason=str(ex))
+        bank.setdefault(target, []).append(entry)
 
-
-def _bank_case_II(L: LieAlgebra) -> dict[Root, list]:
-    rs = L.rs
-    l = rs.rank
-    e = lambda i: rs.unit(i)
-    c = Const("c")
-    alpha = e(1) - e(2)
-    bank: dict[Root, list] = {}
-
-    def put(target, origin, prefactor, body, variants=()):
-        bank.setdefault(target, []).append((origin, prefactor, body, variants))
-
-    put(alpha, "direct", None, _X(alpha))
-    put(
-        -alpha,
-        "casimir",
-        None,
-        Add(
-            (
-                c,
-                Pow(Add((HAtom(coords=alpha.coords), Num(1))), 2),
-                Mul((Num(4), _X(-alpha), _X(alpha))),
-            )
-        ),
-    )
-    # e2 +- e3 with prefactor x(+-e3)
-    if l >= 3:
-        for s in (1, -1):
-            se3 = Root(tuple(s * x for x in e(3).coords))
-            t = e(2) + se3
-            body = Add(
-                (
-                    c,
-                    _pair(_X(t), _X(-t)),
-                    _signed(1, _pair(_X(e(1) + se3), _X(-(e(1) + se3)))),
-                )
-            )
-            put(t, "bank", _X(se3), body)
-    # e2 +- e_k, k >= 4, prefactor x(e3 +- e_k)
-    for k in range(4, l + 1):
-        for s in (1, -1):
-            sek = Root(tuple(s * x for x in e(k).coords))
-            t = e(2) + sek
-            body = Add(
-                (
-                    c,
-                    _pair(_X(t), _X(-t)),
-                    _signed(1, _pair(_X(e(1) + sek), _X(-(e(1) + sek)))),
-                )
-            )
-            put(t, "bank", _X(e(3) + sek), body)
-    # e2 and -e1
-    put(
-        e(2),
-        "bank",
-        _X(e(1)),
-        Add((c, _pair(_X(e(2)), _X(-e(2))), _signed(1, _pair(_X(e(1)), _X(-e(1)))))),
-    )
-    put(
-        -e(1),
-        "bank",
-        _X(-e(2)),
-        Add((c, _pair(_X(-e(1)), _X(e(1))), _signed(1, _pair(_X(-e(2)), _X(e(2)))))),
-    )
-    # -(e1 +- e3) with prefactor x(-(+-e3))
-    if l >= 3:
-        for s in (1, -1):
-            se3 = Root(tuple(s * x for x in e(3).coords))
-            t = -(e(1) + se3)
-            body = Add(
-                (
-                    c,
-                    _pair(_X(e(2) + se3), _X(-(e(2) + se3))),
-                    _signed(1, _pair(_X(e(1) + se3), _X(-(e(1) + se3)))),
-                )
-            )
-            put(t, "bank", _X(-se3), body)
-    # -(e1 +- e_k), k >= 4, prefactor x(-(e3 +- e_k))
-    for k in range(4, l + 1):
-        for s in (1, -1):
-            sek = Root(tuple(s * x for x in e(k).coords))
-            t = -(e(1) + sek)
-            body = Add(
-                (
-                    c,
-                    _pair(_X(e(2) + sek), _X(-(e(2) + sek))),
-                    _signed(1, _pair(_X(e(1) + sek), _X(-(e(1) + sek)))),
-                )
-            )
-            put(t, "bank", _X(-(e(3) + sek)), body)
-    # +-e_l squared root vectors
-    put(e(l), "square", None, Pow(_X(e(l)), 2))
-    put(-e(l), "square", None, Pow(_X(-e(l)), 2))
+    if case == "I":
+        put(e(1), "direct", lambda: (None, _X(e(1))))
+        put(-e(1), "casimir", lambda: (None, _casimir(e(1))))
+        for j in range(2, l + 1):
+            for f in (e(j), -e(j)):
+                # target -e1 + f: prefactor x(e1 + f) for j = 2, else the
+                # printed x(-e2 + f) and its repairs
+                body = _pairs(f - e(1), f, e(1) + f)
+                if j == 2:
+                    pre, repairs = e(1) + f, ()
+                else:
+                    pre = f - e(2)
+                    repairs = tuple(
+                        TemplateVariant(f"prefactor x({r.label})", _X(r), body, _nslots(body))
+                        for r in (e(2) + f, e(1) + f, -e(2) - f)
+                    )
+                put(f - e(1), "bank", lambda: (_X(pre), body, repairs))
+                # target f: prefactor x(e3 + f)^2 for j = 2, whose body pairs
+                # e2 for both signs, else x(e2 + f)
+                g = e(2) if j == 2 else f
+                body = _pairs(g, e(1) + g, g - e(1))
+                put(f, "bank", lambda: (Pow(_X(e(3) + f), 2) if j == 2 else _X(e(2) + f), body))
+    else:
+        alpha = e(1) - e(2)
+        put(alpha, "direct", lambda: (None, _X(alpha)))
+        put(-alpha, "casimir", lambda: (None, _casimir(alpha)))
+        for k in range(3, l + 1):
+            for f in (e(k), -e(k)):
+                # targets e2 + f and -(e1 + f) share a body under opposite prefactors
+                pre = f if k == 3 else e(3) + f
+                body = _pairs(e(2) + f, e(1) + f)
+                put(e(2) + f, "bank", lambda: (_X(pre), body))
+                put(-(e(1) + f), "bank", lambda: (_X(-pre), body))
+        put(e(2), "bank", lambda: (_X(e(1)), _pairs(e(2), e(1))))
+        put(-e(1), "bank", lambda: (_X(-e(2)), _pairs(-e(1), -e(2))))
+        put(e(l), "square", lambda: (None, Pow(_X(e(l)), 2)))
+        put(-e(l), "square", lambda: (None, Pow(_X(-e(l)), 2)))
     return bank
 
 
@@ -344,87 +215,38 @@ def _commutes(L: LieAlgebra, alpha: Root, u: UEElement) -> bool:
     return commutator(xa, u).is_zero
 
 
-def _fallback(L: LieAlgebra, alpha: Root, beta: Root, bank: dict) -> tuple[str, Expr | None, Expr] | None:
+def _fallback(L: LieAlgebra, alpha: Root, beta: Root, bank: dict) -> _Entry | None:
     """x_beta^2 or ^3 when it commutes with x_alpha, else a commuting power
     attached to the parenthesis already used for the opposite target."""
     uea = L.enveloping()
     for k, origin in ((2, "square"), (3, "cube")):
-        u = to_ue(Pow(_X(beta), k), uea)
-        if _commutes(L, alpha, u):
-            return origin, None, Pow(_X(beta), k)
-    xa = uea.from_lie(L.x(alpha))
-    for origin, prefactor, body, _variants in bank.get(-beta, []):
-        if prefactor == "impossible" or not isinstance(body, Add):
-            continue
-        # first commuting root-vector power in canonical order; squaring it
-        # keeps the product's commutator entirely inside the parenthesis part
-        for gamma in L.rs.roots:
-            if commutator(xa, uea.from_lie(L.x(gamma))).is_zero:
-                return "paren-reuse", Pow(_X(gamma), 2), body
+        if _commutes(L, alpha, to_ue(Pow(_X(beta), k), uea)):
+            return _Entry(origin, None, Pow(_X(beta), k))
+    for entry in bank.get(-beta, []):
+        if entry.reason is None and isinstance(entry.body, Add):
+            # first commuting root-vector power in canonical order; squaring it
+            # keeps the product's commutator entirely inside the parenthesis part
+            for gamma in L.rs.roots:
+                if _commutes(L, alpha, uea.from_lie(L.x(gamma))):
+                    return _Entry("paren-reuse", Pow(_X(gamma), 2), entry.body)
     return None
 
 
 def _build_case(L: LieAlgebra, case: str) -> list[ABSpec]:
     if L.rs.family != "B":
         raise ValueError("template banks are defined for family B")
-    rs = L.rs
-    alpha = rs.unit(1) if case == "I" else rs.unit(1) - rs.unit(2)
-    bank = _bank_case_I(L) if case == "I" else _bank_case_II(L)
-    order = _slot_order_case_I(L) if case == "I" else _slot_order_case_II(L)
+    alpha = case_alpha(L, case)
+    bank = _bank(L, case)
     specs: list[ABSpec] = []
-    for slot, target in enumerate(order, start=1):
+    for slot, target in enumerate(_slot_order(L, case), start=1):
         entries = bank.get(target, [])
-        made = None
-        impossible_reason = None
-        for origin, prefactor, body, variants in entries:
-            if prefactor == "impossible":
-                impossible_reason = body
-                continue
-            made = ABSpec(
-                case=case,
-                slot=slot,
-                target=target,
-                origin=origin,
-                status="ok",
-                prefactor=prefactor,
-                body=body,
-                sign_slots=_nslots(body) + (0 if prefactor is None else _nslots(prefactor)),
-                variants=tuple(variants),
-            )
-            break
-        if made is None:
-            fb = _fallback(L, alpha, target, bank)
-            if fb is not None:
-                origin, prefactor, body = fb
-                made = ABSpec(
-                    case=case,
-                    slot=slot,
-                    target=target,
-                    origin=origin,
-                    status="ok",
-                    prefactor=prefactor,
-                    body=body,
-                    sign_slots=_nslots(body),
-                )
-            elif impossible_reason is not None:
-                made = ABSpec(
-                    case=case,
-                    slot=slot,
-                    target=target,
-                    origin="bank",
-                    status="impossible_for_rank",
-                    reason=impossible_reason,
-                )
-            else:
-                made = ABSpec(
-                    case=case,
-                    slot=slot,
-                    target=target,
-                    origin="none",
-                    status="uncovered",
-                    reason="no template or commuting fallback applies",
-                )
-        specs.append(made)
+        entry = next((x for x in entries if x.reason is None), None) or _fallback(L, alpha, target, bank)
+        status = "ok"
+        if entry is None:
+            status = "impossible_for_rank" if entries else "uncovered"
+            entry = entries[-1] if entries else _Entry("none", reason="no template or commuting fallback applies")
+        sign_slots = _nslots(entry.prefactor, entry.body)
+        specs.append(ABSpec(case, slot, target, status=status, sign_slots=sign_slots, **entry._asdict()))
     return specs
 
 
@@ -445,17 +267,9 @@ def case_alpha(L: LieAlgebra, case: str) -> Root:
 def sl2_pair_specs(L: LieAlgebra, alpha: Root) -> list[ABSpec]:
     """The two-slot candidate attached to the sl2 of a single root: x_alpha
     and its shifted Casimir.  Usable in any family (rank-1 cross checks)."""
-    c = Const("c")
-    cas = Add(
-        (
-            c,
-            Pow(Add((HAtom(coords=alpha.coords), Num(1))), 2),
-            Mul((Num(4), XAtom((-alpha).coords), XAtom(alpha.coords))),
-        )
-    )
     return [
-        ABSpec(case="sl2", slot=1, target=alpha, origin="direct", status="ok", body=XAtom(alpha.coords)),
-        ABSpec(case="sl2", slot=2, target=-alpha, origin="casimir", status="ok", body=cas),
+        ABSpec(case="sl2", slot=1, target=alpha, origin="direct", status="ok", body=_X(alpha)),
+        ABSpec(case="sl2", slot=2, target=-alpha, origin="casimir", status="ok", body=_casimir(alpha)),
     ]
 
 
@@ -497,9 +311,16 @@ class SolveResult:
         return expand_spec(self.spec, L, signs, c_value)
 
 
-def expand_spec(spec: ABSpec, L: LieAlgebra, signs: tuple[int, ...] = (), c_value: int = 0) -> UEElement:
-    env = {i + 1: s for i, s in enumerate(signs)}
-    return to_ue(spec.expression(), L.enveloping(), signs=env, c_value=c_value)
+def expand_spec(spec, L: LieAlgebra, signs: tuple[int, ...] = (), c_value: int = 0) -> UEElement:
+    """The element of U(L) of a template (an ABSpec or a TemplateVariant)
+    with its sign slots set to `signs` and c to `c_value`."""
+    return to_ue(spec.expression(), L.enveloping(), signs=dict(enumerate(signs, 1)), c_value=c_value)
+
+
+def _sign_commutators(template, L: LieAlgebra, xa: UEElement, c_value: int):
+    """(signs, [x_alpha, template]) for every sign assignment."""
+    for signs in itertools.product((1, -1), repeat=template.sign_slots):
+        yield signs, commutator(xa, expand_spec(template, L, signs, c_value))
 
 
 def solve_signs(spec: ABSpec, L: LieAlgebra, c_value: int = 0) -> SolveResult:
@@ -512,24 +333,17 @@ def solve_signs(spec: ABSpec, L: LieAlgebra, c_value: int = 0) -> SolveResult:
         alpha = spec.target if L.rs.height(spec.target) > 0 else -spec.target
     res = SolveResult(spec=spec, alpha=alpha)
     if spec.status != "ok":
-        res.status = "impossible"
         return res
     xa = L.enveloping().from_lie(L.x(alpha))
-    for signs in itertools.product((1, -1), repeat=spec.sign_slots):
-        u = expand_spec(spec, L, signs, c_value)
-        comm = commutator(xa, u)
+    for signs, comm in _sign_commutators(spec, L, xa, c_value):
         res.assignments.append(
             Assignment(signs=signs, commutes=comm.is_zero, residue=None if comm.is_zero else comm)
         )
     res.status = "solved" if any(a.commutes for a in res.assignments) else "nosolution"
     for variant in spec.variants:
-        sols = []
-        for signs in itertools.product((1, -1), repeat=variant.sign_slots):
-            env = {i + 1: s for i, s in enumerate(signs)}
-            u = to_ue(Mul((variant.prefactor, variant.body)), L.enveloping(), signs=env, c_value=c_value)
-            if commutator(xa, u).is_zero:
-                sols.append(signs)
-        res.variant_solutions[variant.label] = sols
+        res.variant_solutions[variant.label] = [
+            signs for signs, comm in _sign_commutators(variant, L, xa, c_value) if comm.is_zero
+        ]
     return res
 
 
@@ -603,8 +417,12 @@ def gen_Bi(L: LieAlgebra, alpha: Root, seed: int = 0, count: int | None = None) 
                 f"need {count} pairwise-independent vectors with nonzero pairing,"
                 f" only {available} directions exist at p = {p}"
             )
+    # MDS bound for prime fields (Ball, JEMS 2012; Segre's bound on arcs for
+    # l = 3): for 3 <= l <= p at most p + 1 vectors of F_p^l have every
+    # l-subset a basis, so a larger family is not searched for
+    rounds = 0 if 3 <= l <= p and count > p + 1 else 500
     rng = random.Random(seed)
-    for _ in range(500):
+    for _ in range(rounds):
         pick = []
         tries = 0
         while len(pick) < count and tries < 200 * count:
@@ -745,32 +563,33 @@ def verify_independence_truncated(cand: LeeCandidate, rep, bound: int, order=Non
     full rank prove the matrices independent (Wiedemann 1986).  rho is a
     homomorphism, so each image is the probe with the factor elements
     applied one exponent at a time, rightmost factor first; no PBW product
-    and no matrix is formed.  Otherwise the matrices are vectorized and
-    eliminated exactly, and any dependency comes back as an explicit
+    and no matrix is formed.  Otherwise the same chain applied to the
+    identity gives the matrices, which are vectorized and eliminated
+    exactly, and any dependency comes back as an explicit
     coefficient combination: the tuple that first falls into the span of the
     earlier ones with coefficient 1, plus those earlier independent tuples."""
     import numpy as np
 
     from .linalg import kernel_mod_p, rank_mod_p
-    from .redenv import apply, evaluate
+    from .redenv import apply
 
     p = cand.p
     tuples = cand.tuples_with_bound(bound) if order is None else list(order)
+
+    def image(tup, X):
+        cand.check_exponents(tup)
+        for j in reversed(range(len(tup))):
+            for _ in range(tup[j]):
+                X = apply(cand.factor_element(j), rep, X)
+        return X
+
     if tuples:
         probe = np.random.default_rng(0).integers(0, p, size=rep.dim)
-        images = []
-        for tup in tuples:
-            cand.check_exponents(tup)
-            v = probe
-            for j in reversed(range(len(tup))):
-                for _ in range(tup[j]):
-                    v = apply(cand.factor_element(j), rep, v)
-            images.append(v)
-        if rank_mod_p(np.array(images), p) == len(tuples):
+        if rank_mod_p(np.array([image(tup, probe) for tup in tuples]), p) == len(tuples):
             return IndependenceReport(
                 count=len(tuples), rank=len(tuples), tuples=tuples, witnesses=[]
             )
-    mats = [evaluate(cand.element(tup), rep).tocoo() for tup in tuples]
+    mats = [image(tup, rep.identity()).tocoo() for tup in tuples]
     flat = [M.row.astype(np.int64) * rep.dim + M.col for M in mats]
     cells = np.unique(np.concatenate(flat)) if flat else np.zeros(0, dtype=np.int64)
     S = np.zeros((len(tuples), cells.size), dtype=np.int64)
@@ -847,8 +666,7 @@ def check_lee_conditions(
             if spec.status != "ok" or spec.body is None or not isinstance(spec.body, Add):
                 continue
             signs = res.solved[0] if res.solved else tuple([1] * spec.sign_slots)
-            env = {i + 1: s for i, s in enumerate(signs)}
-            base = to_ue(spec.body, L.enveloping(), signs=env, c_value=0)
+            base = to_ue(spec.body, L.enveloping(), signs=dict(enumerate(signs, 1)), c_value=0)
             singular = [c for c in range(p) if not invertible_in_rep(base + c, rep)]
             scans[f"body[{spec.target.label}]"] = {
                 "singular": singular,
@@ -878,10 +696,10 @@ def verification_report(
     """Machine-readable ledger over all targets of one case: template display,
     sign verdicts, stability under the central constant, coefficient-family
     status, and the matrix cross-check when a representation is available."""
-    from .redenv import Character, baby_verma, evaluate
+    from .redenv import Character, baby_verma
 
     alpha = case_alpha(L, case)
-    specs = build_case_I(L) if case == "I" else build_case_II(L)
+    specs = _build_case(L, case)
     results = [solve_signs(s, L, c_value=c_check_values[0]) for s in specs]
     stability = []
     for s, r in zip(specs, results):

@@ -3,7 +3,8 @@
 The F_p routines work on int64 residues in 0..p-1.  A product of two residues
 is below p^2, so a sum of n of them -- a matrix product over an axis of
 length n -- stays exact only while p^2 * n < 2^63; `check_int64_sum` enforces
-this wherever such a sum is taken.
+this wherever such a sum is taken, and every F_p routine checks n = 1, so a p
+above about 3.04e9 is refused rather than silently wrapped.
 """
 
 from __future__ import annotations
@@ -17,16 +18,21 @@ def inv_mod(a: int, p: int) -> int:
     return pow(int(a) % p, -1, p)
 
 
+class Int64Overflow(ValueError):
+    """p is too large for exact int64 arithmetic on residues."""
+
+
 def check_int64_sum(p: int, n: int) -> None:
-    """Raise ValueError unless n products of residues mod p sum exactly in int64."""
+    """Raise Int64Overflow unless n products of residues mod p sum exactly in int64."""
     if p * p * n >= 2**63:
-        raise ValueError(f"p^2 * n = {p}^2 * {n} exceeds the int64 range")
+        raise Int64Overflow(f"p^2 * n = {p}^2 * {n} exceeds the int64 range")
 
 
 def _echelon(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Row echelon form of A over F_p by vectorized forward elimination.
     Returns the reduced copy and its pivot columns; pivot row i leads with a 1
     in column pivots[i], and the rows below the pivots are zero."""
+    check_int64_sum(p, 1)
     M = np.array(A, dtype=np.int64, copy=True)
     M %= p
     nrows, ncols = M.shape
@@ -82,6 +88,7 @@ class DenseEchelon:
         return len(self.rows)
 
     def reduce(self, vec: np.ndarray) -> np.ndarray:
+        check_int64_sum(self.p, 1)
         v = np.array(vec, dtype=np.int64, copy=True) % self.p
         for row, piv in zip(self.rows, self.pivots):
             c = v[piv]

@@ -1,5 +1,9 @@
+import hashlib
 import json
+import os
 import pathlib
+import subprocess
+import sys
 from contextlib import nullcontext
 
 import pytest
@@ -97,6 +101,12 @@ BAD_INPUTS = [
          "--family", "A", "--rank", "1", "--p", "7"],
         None,
         "recursion depth",
+    ),
+    (
+        ["check-subalgebra", "--family", "A", "--rank", "2", "--p", "4294967311",
+         "--span", "6 x(-e2+e3) + 3 h(e2-e3); 8 x(-e2+e3)"],
+        None,
+        "int64",
     ),
 ]
 
@@ -330,3 +340,38 @@ def test_run_validates_config():
         run("roots", cfg)
     with pytest.raises(ConfigError):
         run("nonsense", RunConfig())
+
+
+def test_small_characteristic_warning_is_one_line():
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    argv = ["baby-verma", "--family", "A", "--rank", "1", "--p", "5", "--allow-small"]
+    done = subprocess.run(
+        [sys.executable, "-m", "modlie", *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0
+    assert done.stderr == "warning: running at small characteristic p = 5\n"
+
+
+# SHA-256 of the verify-lee report bytes at p = 7, seed 0, recorded before the
+# template banks were rebuilt from one table
+VERIFY_LEE_SHA256 = {
+    (2, "I"): "3ac92914b74d09b4375d234a3efd1fe11d149e100dc9df401490cfa1e1b7687d",
+    (2, "II"): "d99e980e5959d43bf9c9df785b1ef0ac23a680c877765ae6a9b14e95b595dc54",
+    (3, "I"): "cb225fc68d87997dd3a956cdf5a112dbfe3098f208613ff7d9a73cca3657a32c",
+    (3, "II"): "8d99850908ec50f7f08d29ddacc4f09511dbe6ffbecd7a044fa9d5a0c5377ea6",
+    (4, "I"): "d1f5749fd2a1832ff58e7e74edca6c83822358b15896ced2013ab8736c818bc7",
+    (4, "II"): "cfb57fe54b18e1243596849d88d6eb8c58542da6857937285d982856b76eab26",
+    (5, "I"): "e9f42df3645659e169bee66da3945726f650e57a8dd7c66a9a845d3dd2e2c876",
+    (5, "II"): "73cf1bfb88846c966c2cd24d08194283861ec5592f111a17c47ef9591ad41929",
+}
+
+
+@pytest.mark.parametrize("rank, case", sorted(VERIFY_LEE_SHA256))
+def test_verify_lee_report_bytes_pinned(tmp_path, capsys, rank, case):
+    out = tmp_path / "lee.json"
+    code, _, _ = run_main(
+        capsys, "verify-lee", "--rank", str(rank), "--p", "7", "--case", case, "--out", str(out)
+    )
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_LEE_SHA256[rank, case]

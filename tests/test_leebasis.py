@@ -450,3 +450,40 @@ def test_verification_report_b3_weight_certificates(b3_p7):
         for a in spec.get("assignments", []):
             if not a["commutes"]:
                 assert a["residue_weight"] not in ("0", "non-homogeneous")
+
+
+def test_gen_bi_refuses_families_beyond_the_mds_bound(monkeypatch, b3_p7):
+    # at l = 3 <= p = 7 no 10 vectors have every 3-subset a basis (at most
+    # p + 1 = 8 do), so the answer comes without testing a single family
+    def forbidden(*args):
+        raise AssertionError("an infeasible family must not be searched for")
+
+    monkeypatch.setattr("modlie.leebasis._subsets_independent", forbidden)
+    with pytest.raises(ExhaustedField) as info:
+        gen_Bi(b3_p7, case_alpha(b3_p7, "I"), count=10)
+    assert str(info.value) == "no admissible family of 10 vectors found at p = 7"
+
+
+def test_deficient_rank_forms_no_product_or_evaluation(monkeypatch, b2_p7, partial_candidate):
+    # the fallback builds each matrix from the factor elements applied to the
+    # identity; the witnesses are those pinned in test_zero_rep_dependencies_pinned
+    zero = MatrixRep(
+        algebra=b2_p7,
+        p=7,
+        dim=1,
+        neg_positions=(),
+        generators={b.position: sp.csr_matrix((1, 1), dtype=np.int64) for b in b2_p7.basis},
+        chi=Character(b2_p7, {}),
+        lam={},
+    )
+    expected = verify_independence_truncated(partial_candidate, zero, 2)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the independence check must not form a product or evaluate one")
+
+    monkeypatch.setattr("modlie.leebasis.LeeCandidate.element", forbidden)
+    monkeypatch.setattr("modlie.redenv.evaluate", forbidden)
+    rpt = verify_independence_truncated(partial_candidate, zero, 2)
+    assert (rpt.count, rpt.rank) == (15, 1)
+    assert rpt.witnesses == expected.witnesses
+    assert len(rpt.witnesses) == 14

@@ -1,8 +1,11 @@
+import random
+
 import numpy as np
 import pytest
 
 from modlie.linalg import (
     DenseEchelon,
+    Int64Overflow,
     FractionEchelon,
     check_int64_sum,
     kernel_mod_p,
@@ -98,3 +101,53 @@ def test_rank_mod_p_matches_fraction_rank_generic():
         rq = fraction_rank(A.tolist())
         # over a large prime the mod-p rank agrees with the rational rank
         assert rank_mod_p(A, 10007) == rq
+
+
+def test_elimination_refuses_residue_products_beyond_int64():
+    # 4294967311 is prime and p^2 >= 2^63: one product of two residues
+    # already wraps, so rank and membership would be silently wrong
+    p = 4294967311
+    A = np.array([[1, p - 1], [p - 2, 5]])
+    with pytest.raises(Int64Overflow, match="int64"):
+        rank_mod_p(A, p)
+    with pytest.raises(Int64Overflow, match="int64"):
+        kernel_mod_p(A, p)
+    ech = DenseEchelon(p)
+    with pytest.raises(Int64Overflow, match="int64"):
+        ech.insert(A[0])
+    with pytest.raises(Int64Overflow, match="int64"):
+        ech.contains(A[1])
+
+
+def python_rank_mod_p(rows, p):
+    rows = [[x % p for x in r] for r in rows]
+    rank = 0
+    for c in range(len(rows[0])):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        rows[rank] = [x * inv % p for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_elimination_exact_just_below_the_int64_bound():
+    p = 3037000493  # the largest prime with p^2 < 2^63
+    check_int64_sum(p, 1)
+    rng = random.Random(3)
+    for k in (1, 2, 3, 4):
+        # k random rows and two combinations of them: rank k
+        base = [[rng.randrange(p) for _ in range(5)] for _ in range(k)]
+        coeffs = [[rng.randrange(p) for _ in base] for _ in range(2)]
+        combos = [[sum(a * r[c] for a, r in zip(cs, base)) % p for c in range(5)] for cs in coeffs]
+        rows = base + combos
+        assert rank_mod_p(np.array(rows), p) == python_rank_mod_p(rows, p) == k
+        ech = DenseEchelon(p)
+        assert all(ech.insert(np.array(row)) for row in base)
+        assert all(ech.contains(np.array(row)) for row in combos)
