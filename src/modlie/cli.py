@@ -13,7 +13,9 @@ Commands
 
 Exit codes: 0 all asserted checks passed; 1 a check produced a counterexample
 (with certificate); 2 usage or configuration error, including a p too large
-for exact int64 arithmetic; 3 inconclusive verdicts present.  Warnings, such
+for exact int64 arithmetic, a span, chi/lambda key or --extend-h value that
+is not an element of L (or not Cartan), and a lambda index beyond the rank;
+3 inconclusive verdicts present.  Warnings, such
 as running at a small characteristic, are written as one `warning:` line.  Reports are JSON with sorted keys: identical config and seed give
 byte-identical bytes.
 """
@@ -24,12 +26,13 @@ import argparse
 import json
 import sys
 import warnings
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 from . import expr as xp
 from .chevalley import (
     BadCharacteristic,
     LieAlgebra,
+    NotCartanElement,
     SmallCharacteristic,
     build_chevalley,
     check_subalgebra,
@@ -47,14 +50,13 @@ from .leebasis import (
     ExhaustedField,
 )
 from .linalg import Int64Overflow
-from .pbw import is_central, commutator, to_string
+from .pbw import commutator, to_string
 from .redenv import (
     Character,
     IncompatibleWeight,
     NonStandardCharacter,
     NotModP,
     baby_verma,
-    evaluate,
     is_irreducible,
     rep_check_brackets,
     rep_check_restrictedness,
@@ -96,11 +98,6 @@ class RunConfig:
         if self.bound < 0 or self.seed < 0 or self.trials < 0:
             raise ConfigError("bound, seed and trials must be nonnegative")
 
-    def as_dict(self) -> dict:
-        d = asdict(self)
-        d["lambda"] = d.pop("lam")
-        return d
-
 
 def _config_key(name: str) -> str:
     """The config-file key of a RunConfig field (or of the argparse dest)."""
@@ -108,7 +105,6 @@ def _config_key(name: str) -> str:
 
 
 CONFIG_FIELDS = {_config_key(f.name): f for f in fields(RunConfig)}
-CONFIG_KEYS = set(CONFIG_FIELDS)
 BOOL_WORDS = dict.fromkeys(("1", "true", "yes"), True) | dict.fromkeys(("0", "false", "no"), False)
 
 
@@ -145,7 +141,7 @@ def load_config_file(path: str) -> dict:
                 raise ConfigError(f"{path}:{lineno}: expected key=value")
             key, val = line.split("=", 1)
             key = key.strip()
-            if key not in CONFIG_KEYS:
+            if key not in CONFIG_FIELDS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             values[key] = val.strip()
     return values
@@ -178,6 +174,8 @@ def _lambda(L: LieAlgebra, cfg: RunConfig) -> dict[int, int]:
     out: dict[int, int] = {}
     for key, v in cfg.lam.items():
         if key.isdigit():
+            if not 1 <= int(key) <= L.l:
+                raise ConfigError(f"lambda index {key} is outside 1..{L.l}")
             out[int(key)] = v
             continue
         pos = _basis_position(L, key)
@@ -197,6 +195,11 @@ def _basis_position(L: LieAlgebra, token: str) -> int:
     if len(elem.coeffs) != 1 or set(elem.coeffs.values()) != {1}:
         raise ConfigError(f"{token!r} does not name a single basis element")
     return next(iter(elem.coeffs))
+
+
+def _report(kind: str, cfg: RunConfig, fields: dict) -> dict:
+    """A command's report: the shared header, then the command's own fields."""
+    return {"schema": 1, "kind": kind, "family": cfg.family, "rank": cfg.rank, "p": cfg.p} | fields
 
 
 def _emit(report: dict, cfg: RunConfig, human: str) -> None:
@@ -253,15 +256,10 @@ def _cmd_struct_table(cfg: RunConfig) -> tuple[int, dict]:
                         {L.basis[k].label: entry[k] for k in sorted(entry)},
                     ]
                 )
-    report = {
-        "schema": 1,
-        "kind": "struct-table",
-        "family": cfg.family,
-        "rank": cfg.rank,
-        "p": cfg.p,
+    report = _report("struct-table", cfg, {
         "basis": [b.label for b in L.basis],
         "brackets": brackets,
-    }
+    })
     human = f"{cfg.family}{cfg.rank} (p={cfg.p}): dim {L.n}, {len(brackets)} nonzero bracket pairs"
     return 0, {"report": report, "human": human}
 
@@ -273,15 +271,10 @@ def _cmd_normalform(cfg: RunConfig) -> tuple[int, dict]:
     node = xp.parse(cfg.expr, L.rs)
     u = xp.to_ue(node, L.enveloping())
     text = to_string(u)
-    report = {
-        "schema": 1,
-        "kind": "normalform",
-        "family": cfg.family,
-        "rank": cfg.rank,
-        "p": cfg.p,
+    report = _report("normalform", cfg, {
         "input": cfg.expr,
         "normalform": text,
-    }
+    })
     return 0, {"report": report, "human": text}
 
 
@@ -299,16 +292,11 @@ def _cmd_central(cfg: RunConfig) -> tuple[int, dict]:
             witness = {"generator": L.basis[pos].label, "commutator": to_string(comm)}
             break
     central = witness is None
-    report = {
-        "schema": 1,
-        "kind": "central",
-        "family": cfg.family,
-        "rank": cfg.rank,
-        "p": cfg.p,
+    report = _report("central", cfg, {
         "input": cfg.expr,
         "central": central,
         "witness": witness,
-    }
+    })
     human = "true" if central else f"false (fails against {witness['generator']})"
     return (0 if central else 1), {"report": report, "human": human}
 
@@ -334,18 +322,13 @@ def _cmd_baby_verma(cfg: RunConfig) -> tuple[int, dict]:
     rep = baby_verma(L, chi, _lambda(L, cfg))
     brackets_ok = rep_check_brackets(rep)
     restricted_ok = rep_check_restrictedness(rep)
-    report = {
-        "schema": 1,
-        "kind": "baby-verma",
-        "family": cfg.family,
-        "rank": cfg.rank,
-        "p": cfg.p,
+    report = _report("baby-verma", cfg, {
         "chi": dict(sorted(cfg.chi.items())),
         "lambda": dict(sorted(cfg.lam.items())),
         "dim": rep.dim,
         "bracket_compatibility": brackets_ok,
         "restrictedness": restricted_ok,
-    }
+    })
     human = (
         f"baby Verma over {cfg.family}{cfg.rank} (p={cfg.p}): dim {rep.dim},"
         f" brackets {'ok' if brackets_ok else 'FAIL'},"
@@ -359,18 +342,13 @@ def _cmd_irreducible(cfg: RunConfig) -> tuple[int, dict]:
     chi = _character(L, cfg)
     rep = baby_verma(L, chi, _lambda(L, cfg))
     verdict = is_irreducible(rep, seed=cfg.seed, trials=cfg.trials)
-    report = {
-        "schema": 1,
-        "kind": "irreducible",
-        "family": cfg.family,
-        "rank": cfg.rank,
-        "p": cfg.p,
+    report = _report("irreducible", cfg, {
         "dim": rep.dim,
         "status": verdict.status,
         "span_dim": verdict.span_dim,
         "witness_dim": len(verdict.witness) if verdict.witness else None,
         "certificate": verdict.certificate,
-    }
+    })
     human = f"dim {rep.dim}: {verdict.status}"
     code = {"irreducible": 0, "submodule": 0, "inconclusive": 3}[verdict.status]
     return code, {"report": report, "human": human}
@@ -396,23 +374,18 @@ def _cmd_independence(cfg: RunConfig) -> tuple[int, dict]:
     chi = _character(L, cfg) if cfg.chi else Character(L, {L.xpos(-alpha): 1})
     rep = baby_verma(L, chi, _lambda(L, cfg))
     rpt = verify_independence_truncated(cand, rep, cfg.bound)
-    report = {
-        "schema": 1,
-        "kind": "independence",
-        "family": cfg.family,
-        "rank": cfg.rank,
-        "p": cfg.p,
+    report = _report("independence", cfg, {
         "case": cfg.case,
         "seed": cfg.seed,
         "bound": cfg.bound,
         "pairs": [t.label for t in cand.targets],
         "count": rpt.count,
-        "rank": rpt.rank,
+        "rank": rpt.rank,  # the matrix rank, which replaces the header's Lie rank
         "full_rank": rpt.full_rank,
         "witnesses": [
             {str(k): v for k, v in w.items()} for w in rpt.witnesses
         ],
-    }
+    })
     human = f"bound {cfg.bound}: {rpt.count} elements, rank {rpt.rank}" + (
         "" if rpt.full_rank else f", {len(rpt.witnesses)} dependencies"
     )
@@ -437,16 +410,11 @@ def _cmd_check_subalgebra(cfg: RunConfig) -> tuple[int, dict]:
     if not verdict.closed:
         i, j, w = verdict.witness
         witness = {"pair": [i, j], "bracket": repr(w)}
-    report = {
-        "schema": 1,
-        "kind": "check-subalgebra",
-        "family": cfg.family,
-        "rank": cfg.rank,
-        "p": cfg.p,
+    report = _report("check-subalgebra", cfg, {
         "span_size": len(span),
         "closed": verdict.closed,
         "witness": witness,
-    }
+    })
     human = "closed" if verdict.closed else f"not closed: witness pair {witness['pair']}"
     return (0 if verdict.closed else 1), {"report": report, "human": human}
 
@@ -497,7 +465,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _merge_config(args) -> RunConfig:
     raw = load_config_file(args.config) if args.config else {}
     for name, v in vars(args).items():
-        if _config_key(name) in CONFIG_KEYS and v is not None:
+        if _config_key(name) in CONFIG_FIELDS and v is not None:
             raw[_config_key(name)] = v
     cfg = RunConfig()
     for key, val in raw.items():
@@ -535,6 +503,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"parse error: {ex}", file=sys.stderr)
         return 2
     except (
+        xp.NotLieElement,
+        NotCartanElement,
         BadCharacteristic,
         UnsupportedRank,
         NotModP,

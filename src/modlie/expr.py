@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .chevalley import LieElement
 from .roots import Root, RootSystem
 
 
@@ -34,6 +35,10 @@ class ParseError(ValueError):
 
 class UnknownRoot(ValueError):
     """The root expression is not a root of the configured system."""
+
+
+class NotLieElement(ValueError):
+    """The expression's value in U(L) does not lie in L."""
 
 
 # -- AST ----------------------------------------------------------------
@@ -290,20 +295,6 @@ def parse(text: str, rs: RootSystem | None = None) -> Expr:
 # -- printer ------------------------------------------------------------
 
 
-def _coords_label(coords: tuple[int, ...], lead_plus: bool) -> str:
-    parts = []
-    for i, c in enumerate(coords, start=1):
-        if c == 0:
-            continue
-        sign = "+" if c > 0 else "-"
-        mag = abs(c)
-        parts.append(f"{sign}{'' if mag == 1 else mag}e{i}")
-    s = "".join(parts) if parts else "0"
-    if not lead_plus and s.startswith("+"):
-        s = s[1:]
-    return s
-
-
 def print_expr(e: Expr) -> str:
     """Canonical text; parse(print_expr(e)) == e for parseable nodes."""
     return _print(e, 0)
@@ -319,11 +310,11 @@ def _print(e: Expr, prec: int) -> str:
     if isinstance(e, SignSlot):
         return "±"
     if isinstance(e, XAtom):
-        return f"x({_coords_label(e.coords, lead_plus=True)})"
+        return f"x({Root(e.coords).label})"
     if isinstance(e, HAtom):
         if e.simple is not None:
             return f"h({e.simple})"
-        return f"h({_coords_label(e.coords, lead_plus=False)})"
+        return f"h({Root(e.coords).plain_label})"
     if isinstance(e, Add):
         body = []
         for k, item in enumerate(e.items):
@@ -409,46 +400,18 @@ def to_ue(e: Expr, uea, signs: dict[int, int] | None = None, c_value: int = 0):
     return ev(e)
 
 
-def to_lie(e: Expr, lie):
-    """Evaluate a degree-one expression (sums of x/h atoms with integer
-    multiples) to a LieElement; used for subalgebra spans."""
-    rs = lie.rs
+def to_lie(e: Expr, lie) -> LieElement:
+    """Evaluate an expression whose value lies in L to a LieElement.
 
-    def ev(node):
-        if isinstance(node, XAtom):
-            fitted = _fit(node.coords, rs.dim)
-            if fitted is None:
-                raise UnknownRoot(f"x atom {node.coords} outside the system")
-            return lie.x(Root(fitted))
-        if isinstance(node, HAtom):
-            if node.simple is not None:
-                return lie.h(node.simple)
-            fitted = _fit(node.coords, rs.dim)
-            if fitted is None:
-                raise UnknownRoot(f"h atom {node.coords} outside the system")
-            return lie.coroot_expand(Root(fitted))
-        if isinstance(node, Add):
-            out = lie.zero()
-            for item in node.items:
-                out = out + ev(item)
-            return out
-        if isinstance(node, Mul):
-            scalar = 1
-            vec = None
-            for f in node.factors:
-                if isinstance(f, Num):
-                    scalar *= f.value
-                else:
-                    if vec is not None:
-                        raise ValueError("not a degree-one expression")
-                    vec = ev(f)
-            if vec is None:
-                raise ValueError("not a degree-one expression")
-            return scalar * vec
-        if isinstance(node, Brk):
-            from .chevalley import bracket
-
-            return bracket(ev(node.lhs), ev(node.rhs))
-        raise ValueError("not a degree-one expression")
-
-    return ev(e)
+    The value is computed in U(L) by `to_ue` and accepted when every PBW
+    monomial is one basis element to the first power; brackets need no
+    separate rule, since xy - yx straightens to [x, y].
+    """
+    coeffs = {}
+    for mono, c in to_ue(e, lie.enveloping()).terms.items():
+        if len(mono) != 1 or mono[0][1] != 1:
+            raise NotLieElement(
+                f"{print_expr(e)} is not an element of {lie.rs.family}{lie.rs.rank}"
+            )
+        coeffs[mono[0][0]] = c
+    return LieElement(lie, coeffs)

@@ -504,39 +504,34 @@ def assemble(
     specs: list[ABSpec],
     bi: BiFamily,
     signs: list[tuple[int, ...]],
-    c_values: list[int] | None = None,
-    expected_pairs: int | None = None,
 ) -> LeeCandidate:
     """Pair solved templates with Cartan elements in slot order.
 
-    Each template is re-expanded with its signs and verified to commute with
-    x_alpha; a non-commuting entry raises UnsolvedSpec.  `expected_pairs`
-    (default 2m) marks the candidate partial when fewer slots are usable.
+    Each template is re-expanded with its signs at c = 0 and verified to
+    commute with x_alpha; a non-commuting entry raises UnsolvedSpec.  The
+    candidate is partial when fewer than 2m slots are usable.
     """
     L = bi.algebra
     if len(specs) != len(bi.vectors) or len(specs) != len(signs):
         raise ArityMismatch(
             f"{len(specs)} specs, {len(bi.vectors)} vectors, {len(signs)} sign tuples"
         )
-    if c_values is None:
-        c_values = [0] * len(specs)
     alpha = bi.alpha
     xa = L.enveloping().from_lie(L.x(alpha))
     pairs = []
     targets = []
-    for spec, sgn, cv, B in zip(specs, signs, c_values, bi.elements):
+    for spec, sgn, B in zip(specs, signs, bi.elements):
         if spec.status != "ok":
             raise UnsolvedSpec(f"slot {spec.slot} target {spec.target.label}: {spec.status}")
-        A = expand_spec(spec, L, sgn, cv)
+        A = expand_spec(spec, L, sgn)
         if not commutator(xa, A).is_zero:
             raise UnsolvedSpec(
                 f"slot {spec.slot} target {spec.target.label}: signs {sgn} do not commute"
             )
         pairs.append((B, A))
         targets.append(spec.target)
-    expected = 2 * L.m if expected_pairs is None else expected_pairs
     case = specs[0].case if specs else "?"
-    return LeeCandidate(L, case, pairs, targets, partial=len(pairs) < expected)
+    return LeeCandidate(L, case, pairs, targets, partial=len(pairs) < 2 * L.m)
 
 
 # -- verification reports ---------------------------------------------------
@@ -646,9 +641,6 @@ def check_lee_conditions(
     rep,
     solve_results: list[SolveResult] | None = None,
     bound: int = 2,
-    irr_seed: int = 0,
-    irr_trials: int = 50,
-    scan_bodies: bool = True,
 ) -> LeeConditionsReport:
     """Dimension, irreducibility, truncated independence, and the c-scan of
     every parenthesis subexpression (singular values enumerated exactly)."""
@@ -657,10 +649,10 @@ def check_lee_conditions(
     L = cand.algebra
     p = cand.p
     expected = p**L.m
-    verdict = is_irreducible(rep, seed=irr_seed, trials=irr_trials)
+    verdict = is_irreducible(rep)
     indep = verify_independence_truncated(cand, rep, bound)
     scans = {}
-    if scan_bodies and solve_results is not None:
+    if solve_results is not None:
         for res in solve_results:
             spec = res.spec
             if spec.status != "ok" or spec.body is None or not isinstance(spec.body, Add):
@@ -684,29 +676,31 @@ def check_lee_conditions(
 
 # -- full report pipeline ----------------------------------------------------
 
+# largest baby Verma module that verification_report builds for its matrix cross-check
+REP_DIM_LIMIT = 4000
+
 
 def verification_report(
     L: LieAlgebra,
     case: str,
     seed: int = 0,
-    c_check_values: tuple[int, int] = (0, 1),
-    rep=None,
-    rep_dim_limit: int = 4000,
 ) -> dict:
     """Machine-readable ledger over all targets of one case: template display,
-    sign verdicts, stability under the central constant, coefficient-family
-    status, and the matrix cross-check when a representation is available."""
+    sign verdicts, stability as c goes from 0 to 1, coefficient-family
+    status, and the matrix cross-check on the baby Verma module when it has
+    at most REP_DIM_LIMIT dimensions."""
     from .redenv import Character, baby_verma
 
     alpha = case_alpha(L, case)
     specs = _build_case(L, case)
-    results = [solve_signs(s, L, c_value=c_check_values[0]) for s in specs]
+    results = [solve_signs(s, L) for s in specs]
     stability = []
     for s, r in zip(specs, results):
-        r2 = solve_signs(s, L, c_value=c_check_values[1])
+        r2 = solve_signs(s, L, c_value=1)
         stability.append(r.solved == r2.solved and r.status == r2.status)
 
-    if rep is None and L.p and L.p ** L.m <= rep_dim_limit:
+    rep = None
+    if L.p and L.p ** L.m <= REP_DIM_LIMIT:
         chi = Character(L, {L.xpos(-alpha): 1})
         rep = baby_verma(L, chi, {i: 0 for i in range(1, L.l + 1)})
 

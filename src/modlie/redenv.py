@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .chevalley import LieAlgebra, LieElement, MixedAlgebras
+from .chevalley import LieAlgebra, MixedAlgebras
 from .linalg import DenseEchelon, check_int64_sum, kernel_mod_p, rank_mod_p
 from .pbw import Mono, UEElement
 

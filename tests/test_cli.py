@@ -108,6 +108,10 @@ BAD_INPUTS = [
         None,
         "int64",
     ),
+    (["irreducible", "--family", "A", "--rank", "1", "--p", "7", "--lambda", "3=1"], None, "outside 1..1"),
+    (["check-subalgebra", "--span", "3"], None, "not an element of B2"),
+    (["check-subalgebra", "--span", "x(+e1)", "--extend-h", "x(+e2)"], None, "coroot span"),
+    (["irreducible", "--family", "A", "--rank", "1", "--p", "7", "--chi", "2=1"], None, "not an element of A1"),
 ]
 
 
@@ -375,3 +379,37 @@ def test_verify_lee_report_bytes_pinned(tmp_path, capsys, rank, case):
     )
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_LEE_SHA256[rank, case]
+
+
+# exit code and SHA-256 of the --out bytes of the other commands, recorded
+# before their reports shared one header builder
+COMMAND_REPORTS = {
+    ("roots", "--family", "B", "--rank", "3"):
+        (0, "0a358324c234a7d68cf5b0ca7496a58f481bda8c0de0824d9fd188b6c9e0667c"),
+    ("struct-table", "--family", "B", "--rank", "2", "--p", "7"):
+        (0, "f52165949f9af8d11ff2db030d9ea2c1ad6be9dc39e14fd2797f615b75572d7f"),
+    ("normalform", "x(+e1+e2) x(-e1) [x(+e2), x(-e2)]^2", "--p", "7"):
+        (0, "cdb8f0009acf22dbdc4511015ec913f739906d29baf5f73f1efb5f9982591862"),
+    ("central", "(h(e1)+1)^2 + 4 x(-e1) x(+e1)", "--family", "A", "--rank", "1", "--p", "7"):
+        (0, "aff6ffb717be959a42c1daebf185363838d9c59a50d46ae2c26b5237bb05e3bc"),
+    ("central", "x(+e1) x(-e2)", "--p", "7"):
+        (1, "66f0233e55e2cd1c1ffefd5b6f0d2e899e36ea6bfc6e6415be68bef5d9fa9617"),
+    ("baby-verma", "--family", "A", "--rank", "2", "--p", "7", "--chi", "x(-e1+e2)=1",
+     "--lambda", "1=2,2=3"):
+        (0, "3eda839ffa8f31d5b282f9b02430e9274c978d88d48924ed9957313ea75817d6"),
+    ("irreducible", "--family", "A", "--rank", "1", "--p", "7", "--chi", "x(-e1)=1", "--lambda", "1=3"):
+        (0, "72399d6402fd922212ac98f9ed6dc38435eba678ecb63bc6de5640bc4d2d4613"),
+    ("independence", "--p", "7", "--case", "I", "--bound", "2"):
+        (0, "ca972165040d0f4f4259e835f4040ad68cfd71d1e9127e298a1856b6b588bb0c"),
+    ("check-subalgebra", "--span", "x(+e1); x(-e1); [x(+e1), x(-e1)]", "--extend-h", "h(2)"):
+        (0, "eab1cfd2140c62e9d4ae2f8828f38a30f15500a748e81b1052282b37c286eab4"),
+    ("check-subalgebra", "--span", "x(+e1); 2 x(+e2) - h(e1)"):
+        (1, "4a98c10131064c6eca54d8c9ada7b21d75c3e2f11e66083f887db2189fb7b224"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(COMMAND_REPORTS), ids=" ".join)
+def test_command_report_bytes_pinned(tmp_path, capsys, argv):
+    out = tmp_path / "report.json"
+    code, _, _ = run_main(capsys, *argv, "--out", str(out))
+    assert (code, hashlib.sha256(out.read_bytes()).hexdigest()) == COMMAND_REPORTS[argv]

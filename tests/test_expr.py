@@ -7,6 +7,7 @@ from modlie.expr import (
     Brk,
     HAtom,
     Mul,
+    NotLieElement,
     Num,
     ParseError,
     Pow,
@@ -90,6 +91,14 @@ def test_to_lie_span_parsing(b2_p7):
     assert u == b2_p7.x(Root((1, 0))) + 2 * b2_p7.h(1)
     with pytest.raises(ValueError):
         to_lie(parse("x(+e1) x(-e1)", rs), b2_p7)
+    h1 = b2_p7.coroot_expand(Root((1, 0)))
+    assert to_lie(parse("[x(+e1), x(-e1)]", rs), b2_p7) == h1
+    assert to_lie(parse("x(+e1) x(-e1) - x(-e1) x(+e1)", rs), b2_p7) == h1
+    assert to_lie(parse("x(+e1)^1", rs), b2_p7) == b2_p7.x(Root((1, 0)))
+    assert to_lie(parse("0", rs), b2_p7) == b2_p7.zero()
+    for text in ("3", "x(+e1)^2"):
+        with pytest.raises(NotLieElement):
+            to_lie(parse(text, rs), b2_p7)
 
 
 # -- round-trip corpus -----------------------------------------------------
