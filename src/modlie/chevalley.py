@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .roots import Root, RootSystem, RootNotInSystem, cartan_integer
+from .roots import Root, RootSystem, RootNotInSystem, cartan_integer, root_string
 
 
 class BadCharacteristic(ValueError):
@@ -175,9 +175,7 @@ class LieAlgebra:
         return LieElement(self, {})
 
     def x(self, root: Root) -> LieElement:
-        if root not in self._xpos:
-            raise RootNotInSystem(f"{root} is not a root of {self.rs.family}{self.rs.rank}")
-        return LieElement(self, {self._xpos[root]: 1})
+        return LieElement(self, {self.xpos(root): 1})
 
     def h(self, i: int) -> LieElement:
         return LieElement(self, {self._hpos[i]: 1})
@@ -298,14 +296,6 @@ def _structure_constants(rs: RootSystem) -> dict[tuple[Root, Root], int]:
     pos = [r for r in rs.roots if rs.height(r) > 0]
     ordx = {r: i for i, r in enumerate(pos)}
 
-    def qdown(beta: Root, alpha: Root) -> int:
-        q = 0
-        cur = beta - alpha
-        while cur in rset:
-            q += 1
-            cur = cur - alpha
-        return q
-
     npos: dict[tuple[Root, Root], int] = {}
 
     def n_pos(a: Root, b: Root) -> Fraction:
@@ -342,7 +332,7 @@ def _structure_constants(rs: RootSystem) -> dict[tuple[Root, Root], int]:
             continue
         pairs.sort(key=lambda ab: ordx[ab[0]])
         a1, b1 = pairs[0]
-        npos[(a1, b1)] = qdown(b1, a1) + 1
+        npos[(a1, b1)] = root_string(b1, a1, rs)[0] + 1
         gg = Fraction(g.dot(g))
         for a, b in pairs[1:]:
             total = Fraction(0)
@@ -356,7 +346,7 @@ def _structure_constants(rs: RootSystem) -> dict[tuple[Root, Root], int]:
             if val.denominator != 1:
                 raise ArithmeticError(f"non-integral constant at {a}, {b}")
             v = int(val)
-            if abs(v) != qdown(b, a) + 1:
+            if abs(v) != root_string(b, a, rs)[0] + 1:
                 raise ArithmeticError(f"bad magnitude at {a}, {b}")
             npos[(a, b)] = v
 
@@ -369,7 +359,7 @@ def _structure_constants(rs: RootSystem) -> dict[tuple[Root, Root], int]:
                 if val.denominator != 1:
                     raise ArithmeticError(f"non-integral constant at {a}, {b}")
                 v = int(val)
-                if abs(v) != qdown(b, a) + 1:
+                if abs(v) != root_string(b, a, rs)[0] + 1:
                     raise ArithmeticError(f"bad magnitude at {a}, {b}")
                 nall[(a, b)] = v
     return nall

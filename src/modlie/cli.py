@@ -346,7 +346,7 @@ def _cmd_irreducible(cfg: RunConfig) -> tuple[int, dict]:
         "dim": rep.dim,
         "status": verdict.status,
         "span_dim": verdict.span_dim,
-        "witness_dim": len(verdict.witness) if verdict.witness else None,
+        "witness_dim": len(verdict.witness) if verdict.witness is not None else None,
         "certificate": verdict.certificate,
     })
     human = f"dim {rep.dim}: {verdict.status}"

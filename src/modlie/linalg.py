@@ -76,36 +76,59 @@ def kernel_mod_p(A: np.ndarray, p: int) -> list[np.ndarray]:
 
 
 class DenseEchelon:
-    """Incremental row echelon over F_p for dense integer vectors."""
+    """Incremental reduced row echelon basis over F_p for dense integer vectors.
+
+    Row i has a 1 in column pivots[i] and a 0 in every other pivot column, so
+    a vector reduces in one product over the pivots it meets.  The rows live
+    in one array whose capacity doubles as the rank grows."""
 
     def __init__(self, p: int):
         self.p = p
-        self.rows: list[np.ndarray] = []
-        self.pivots: list[int] = []
+        self.rank = 0
+        self._rows = np.zeros((0, 0), dtype=np.int64)
+        self._pivots = np.zeros(0, dtype=np.int64)
 
     @property
-    def rank(self) -> int:
-        return len(self.rows)
+    def rows(self) -> np.ndarray:
+        return self._rows[: self.rank]
+
+    @property
+    def pivots(self) -> np.ndarray:
+        return self._pivots[: self.rank]
 
     def reduce(self, vec: np.ndarray) -> np.ndarray:
         check_int64_sum(self.p, 1)
         v = np.array(vec, dtype=np.int64, copy=True) % self.p
-        for row, piv in zip(self.rows, self.pivots):
-            c = v[piv]
-            if c:
-                v = (v - c * row) % self.p
+        coef = v[self.pivots]
+        hit = np.flatnonzero(coef)
+        # each partial sum of coef @ rows adds at most `step` residue products
+        step = (2**63 - 1) // (self.p * self.p)
+        for s in range(0, hit.size, step):
+            part = hit[s : s + step]
+            v = (v - coef[part] @ self._rows[part]) % self.p
         return v
 
     def insert(self, vec: np.ndarray) -> bool:
         """Insert a vector; True if it enlarged the span."""
         v = self.reduce(vec)
-        nz = np.nonzero(v)[0]
+        nz = np.flatnonzero(v)
         if nz.size == 0:
             return False
         piv = int(nz[0])
         v = (v * inv_mod(v[piv], self.p)) % self.p
-        self.rows.append(v)
-        self.pivots.append(piv)
+        r = self.rank
+        if r == len(self._pivots):
+            pad = min(max(r, 8), v.size - r)  # double, up to the width
+            # reshape gives the empty start array its width
+            self._rows = np.vstack([self.rows.reshape(r, v.size), np.zeros((pad, v.size), np.int64)])
+            self._pivots = np.concatenate([self.pivots, np.zeros(pad, np.int64)])
+        rows = self.rows
+        hit = np.flatnonzero(rows[:, piv])
+        if hit.size:
+            rows[hit] = (rows[hit] - np.outer(rows[hit, piv], v)) % self.p
+        self._rows[r] = v
+        self._pivots[r] = piv
+        self.rank += 1
         return True
 
     def contains(self, vec: np.ndarray) -> bool:

@@ -152,6 +152,9 @@ def baby_verma(L: LieAlgebra, chi: Character, lam: dict[int, int]) -> MatrixRep:
     if not chi.is_standard:
         raise NonStandardCharacter("chi must vanish on positive root vectors")
     p = L.p
+    bad = [i for i in lam if i not in range(1, L.l + 1)]
+    if bad:
+        raise ValueError(f"lambda keys {bad} are outside 1..{L.l}")
     lam = {i: lam.get(i, 0) % p for i in range(1, L.l + 1)}
     for i in range(1, L.l + 1):
         if (pow(lam[i], p, p) - lam[i]) % p != pow(chi.value(L.hpos(i)), p, p):
@@ -368,20 +371,18 @@ def _spin(v: np.ndarray, gens: sp.csr_matrix, p: int) -> DenseEchelon:
     return ech
 
 
-def _eigenvalues(theta: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
+def _eigenvalues(theta: sp.csr_matrix, v: np.ndarray, p: int) -> np.ndarray:
     """Roots in F_p of the minimal polynomial g of v under theta, hence
-    eigenvalues of theta.  Each Krylov row theta^k v carries the unit vector
-    e_k as a tail, so the first row whose head reduces to zero holds the
-    coefficients g_0..g_k in its tail."""
+    eigenvalues of theta.  The Krylov vectors theta^k v, k = 0..d, are the
+    columns of K; the first dependent one is column deg g, so the first
+    kernel vector of K holds g's coefficients, with zeros past deg g."""
     d = v.size
-    ech = DenseEchelon(p)
-    for k in range(d + 1):
-        ech.insert(np.concatenate([v, np.eye(1, d + 1, k, dtype=np.int64)[0]]))
-        if ech.pivots[-1] >= d:
-            break
-        v = (theta @ v) % p
+    K = np.empty((d + 1, d), dtype=np.int64)
+    K[0] = v
+    for k in range(d):
+        K[k + 1] = (theta @ K[k]) % p
     values = np.zeros(p, dtype=np.int64)
-    for coef in ech.rows[-1][d:][::-1]:  # Horner at every point of F_p
+    for coef in kernel_mod_p(K.T, p)[0][::-1]:  # Horner at every point of F_p
         values = (values * np.arange(p) + coef) % p
     return np.nonzero(values == 0)[0]
 
@@ -418,16 +419,18 @@ def is_irreducible(rep: MatrixRep, seed: int = 0, trials: int = 50) -> Irreducib
             for q in qs[1:]:
                 M = rep.matmul(M, rep.generators[q])
             theta = theta + coef * M
-        theta = theta.toarray() % p
+        theta.data %= p
         v = np.array([rng.randrange(p) for _ in range(d)], dtype=np.int64)
-        for c in _eigenvalues(theta, v, p):
+        roots = _eigenvalues(theta, v, p)
+        theta = theta.toarray()
+        for c in roots:
             A = (theta - c * np.eye(d, dtype=np.int64)) % p
             null = kernel_mod_p(A, p)
             for dual in (False, True):
                 u, G = (kernel_mod_p(A.T, p)[0], duals) if dual else (null[0], gens)
                 W = _spin(u, G, p).rows
                 if len(W) < d:
-                    witness = kernel_mod_p(np.array(W), p) if dual else W
+                    witness = kernel_mod_p(W, p) if dual else list(W)
                     cert = {"method": "norton", "trial": t, "dual": dual, "witness_dim": len(witness)}
                     return IrreducibilityVerdict("submodule", witness=witness, certificate=cert)
             if len(null) == 1:

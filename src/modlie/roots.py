@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 FAMILIES = ("A", "B", "C", "D")
 
@@ -148,41 +147,23 @@ def _family_roots(family: str, rank: int) -> tuple[int, list[Root], list[Root]]:
     raise UnsupportedRank(f"unknown family {family!r}")
 
 
-def _solve_int_combo(base: list[Root], target: Root) -> tuple[int, ...]:
-    """Solve sum k_i * base_i = target exactly; the k_i must come out integral."""
-    l = len(base)
-    dim = len(target.coords)
-    aug = [
-        [Fraction(base[j].coords[i]) for j in range(l)] + [Fraction(target.coords[i])]
-        for i in range(dim)
-    ]
-    pivots = []
-    r = 0
-    for c in range(l):
-        pr = next((i for i in range(r, dim) if aug[i][c] != 0), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(dim):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    sol = [Fraction(0)] * l
-    for row, c in enumerate(pivots):
-        sol[c] = aug[row][l]
-    for i in range(r, dim):
-        if aug[i][l] != 0:
-            raise RootNotInSystem(f"{target} is not in the span of the base")
-    ints = []
-    for x in sol:
-        if x.denominator != 1:
-            raise RootNotInSystem(f"{target} has a non-integral base expansion")
-        ints.append(int(x))
-    return tuple(ints)
+def _climb(base: list[Root], roots: list[Root]) -> dict[Root, tuple[int, ...]]:
+    """Coefficients over the base of every root.  Each positive root is a
+    simple root plus a positive root, so climbing from the base by simple
+    roots reaches them all; the negative roots are their negatives."""
+    rset = set(roots)
+    units = [tuple(int(i == j) for j in range(len(base))) for i in range(len(base))]
+    expansions = dict(zip(base, units))
+    frontier = list(base)
+    while frontier:
+        nxt = []
+        for r in frontier:
+            for a, unit in zip(base, units):
+                if r + a in rset and r + a not in expansions:
+                    expansions[r + a] = tuple(k + u for k, u in zip(expansions[r], unit))
+                    nxt.append(r + a)
+        frontier = nxt
+    return expansions | {-r: tuple(-k for k in ks) for r, ks in expansions.items()}
 
 
 @dataclass(frozen=True)
@@ -227,7 +208,7 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     if family not in FAMILIES:
         raise UnsupportedRank(f"family must be one of {FAMILIES}, got {family!r}")
     dim, roots, base = _family_roots(family, rank)
-    expansions = {r: _solve_int_combo(base, r) for r in roots}
+    expansions = _climb(base, roots)
     heights = {r: sum(expansions[r]) for r in roots}
     ordered = tuple(sorted(roots, key=lambda r: (heights[r], r.coords)))
     index = {r: i for i, r in enumerate(ordered)}

@@ -279,6 +279,15 @@ def test_irreducible_report_certificate(capsys):
     assert doc["certificate"]["witness_dim"] == doc["witness_dim"]
 
 
+def test_irreducible_report_non_dual_witness(capsys):
+    # A1 at p = 31 with chi = 0: the spin of the null vector of theta - c is
+    # already proper, so the witness is those spun rows, not a dual kernel
+    code, out, _ = run_main(capsys, "irreducible", "--family", "A", "--rank", "1", "--p", "31")
+    doc = json.loads(out.split("\n", 1)[1])
+    assert code == 0 and doc["status"] == "submodule" and doc["witness_dim"] == 30
+    assert doc["certificate"] == {"method": "norton", "trial": 0, "dual": False, "witness_dim": 30}
+
+
 def test_small_prime_error_names_the_cli_flag(capsys):
     code, out, err = run_main(capsys, "baby-verma", "--family", "A", "--rank", "1", "--p", "5")
     assert code == 2 and out == ""

@@ -69,6 +69,24 @@ def test_dense_echelon_membership():
     assert ech.rank == 2
 
 
+@pytest.mark.parametrize("p", [7, 3037000493])
+def test_dense_echelon_rows_stay_reduced(p):
+    rng = random.Random(p)
+    base = [[rng.randrange(p) for _ in range(9)] for _ in range(6)]
+    inserted = []
+    ech = DenseEchelon(p)
+    for _ in range(12):
+        # combinations of the six base rows, some sparse: rank 6 in width 9
+        coeffs = [rng.choice([0, 0, 1, rng.randrange(p)]) for _ in base]
+        row = [sum(a * r[c] for a, r in zip(coeffs, base)) % p for c in range(9)]
+        before = ech.rank
+        grew = ech.insert(np.array(row))
+        inserted.append(row)
+        assert ech.rank == before + grew == python_rank_mod_p(inserted, p) == len(ech.rows) == len(ech.pivots)
+        assert ech.rows[:, ech.pivots].tolist() == np.eye(ech.rank, dtype=np.int64).tolist()
+        assert all(ech.contains(np.array(r)) for r in inserted)
+
+
 def test_kernel_dependency_witness():
     vecs = {"a": {0: 1, 3: 2}, "b": {3: 1}, "c": {0: 2, 3: 4}}
     tags = list(vecs)

@@ -11,6 +11,7 @@ from modlie.linalg import rank_mod_p
 from modlie.pbw import UEElement, multiply
 from modlie.redenv import (
     Character,
+    _eigenvalues,
     IncompatibleWeight,
     NonStandardCharacter,
     NotModP,
@@ -162,6 +163,14 @@ def test_baby_verma_rejects_incompatible_weight(a1_p5):
     with pytest.raises(IncompatibleWeight) as exc:
         baby_verma(L, chi, {1: 0})
     assert exc.value.coroot == 1
+
+
+def test_baby_verma_rejects_lambda_keys_outside_rank(a1_p5):
+    L = a1_p5
+    with pytest.raises(ValueError, match=r"\[3\] are outside 1\.\.1"):
+        baby_verma(L, Character(L, {}), {3: 1})
+    with pytest.raises(ValueError, match=r"\[0, -1\] are outside 1\.\.1"):
+        baby_verma(L, Character(L, {}), {0: 1, -1: 2})
 
 
 def test_compatible_lambdas(a1_p5):
@@ -564,6 +573,57 @@ def test_b2_p3_regular_character_irreducible():
     verdict = is_irreducible(rep)
     assert verdict.status == "irreducible"
     assert_certificate_replays(rep, verdict)
+
+
+def assert_invariant_by_projection(rep, witness):
+    """assert_invariant_witness for witnesses too large to re-eliminate.  The
+    witness W restricts to the identity on some k columns (true of a kernel
+    basis and of reduced echelon rows), which proves rank W = k; an image x
+    then lies in the span of W iff x = x[cols] @ W.  That product runs in
+    float64, exact while p^2 * k < 2^53."""
+    p = rep.p
+    W = np.array(witness, dtype=np.int64) % p
+    k, d = W.shape
+    assert 0 < k < d and p * p * k < 2**53
+    unit = np.flatnonzero((np.count_nonzero(W, axis=0) == 1) & (W.max(axis=0) == 1))
+    owner, first = np.unique(np.argmax(W[:, unit], axis=0), return_index=True)
+    assert owner.tolist() == list(range(k))  # W[:, cols] is the identity
+    cols = unit[first]
+    for G in rep.generators.values():
+        X = (G @ W.T).T % p
+        assert not ((X - (X[:, cols].astype(np.float64) @ W).astype(np.int64)) % p).any()
+
+
+@pytest.mark.parametrize("chi_roots, witness_dim", [((), 624), ((Root((1, -1)),), 525)])
+def test_b2_p5_dual_witness(chi_roots, witness_dim):
+    L = build_chevalley(build_root_system("B", 2), 5, allow_small=True)
+    rep = baby_verma(L, Character(L, {L.xpos(-r): 1 for r in chi_roots}), {})
+    verdict = is_irreducible(rep)
+    assert verdict.status == "submodule"
+    assert verdict.certificate == {"method": "norton", "trial": 0, "dual": True, "witness_dim": witness_dim}
+    assert len(verdict.witness) == witness_dim
+    assert_invariant_by_projection(rep, verdict.witness)
+
+
+def test_eigenvalues_of_a_proper_factor():
+    # theta = (t^2 - 3) + Jordan block of 5 + (6) over F_7; t^2 - 3 has no
+    # root mod 7, so v's minimal polynomial decides which roots come back
+    p = 7
+    theta = sp.csr_matrix(np.array([
+        [0, 1, 0, 0, 0],
+        [3, 0, 0, 0, 0],
+        [0, 0, 5, 1, 0],
+        [0, 0, 0, 5, 0],
+        [0, 0, 0, 0, 6],
+    ], dtype=np.int64))
+    cases = [
+        ([1, 2, 0, 0, 0], []),  # t^2 - 3
+        ([1, 0, 0, 1, 0], [5]),  # (t^2 - 3)(t - 5)^2
+        ([0, 0, 1, 0, 0], [5]),  # t - 5
+        ([0, 0, 0, 1, 3], [5, 6]),  # (t - 5)^2 (t - 6)
+    ]
+    for v, roots in cases:
+        assert _eigenvalues(theta, np.array(v, dtype=np.int64), p).tolist() == roots
 
 
 def test_a1_verdicts_agree_over_seeds():
