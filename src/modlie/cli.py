@@ -54,6 +54,7 @@ from .pbw import commutator, to_string
 from .redenv import (
     Character,
     IncompatibleWeight,
+    ModuleTooLarge,
     NonStandardCharacter,
     NotModP,
     baby_verma,
@@ -510,6 +511,7 @@ def main(argv: list[str] | None = None) -> int:
         NotModP,
         NonStandardCharacter,
         IncompatibleWeight,
+        ModuleTooLarge,
         Int64Overflow,
     ) as ex:
         print(f"error: {ex}", file=sys.stderr)

@@ -689,7 +689,7 @@ def verification_report(
     sign verdicts, stability as c goes from 0 to 1, coefficient-family
     status, and the matrix cross-check on the baby Verma module when it has
     at most REP_DIM_LIMIT dimensions."""
-    from .redenv import Character, baby_verma
+    from .redenv import Character, baby_verma, evaluate
 
     alpha = case_alpha(L, case)
     specs = _build_case(L, case)
@@ -699,13 +699,11 @@ def verification_report(
         r2 = solve_signs(s, L, c_value=1)
         stability.append(r.solved == r2.solved and r.status == r2.status)
 
-    rep = None
+    xa = L.enveloping().from_lie(L.x(alpha))
+    rep = Xa = None
     if L.p and L.p ** L.m <= REP_DIM_LIMIT:
-        chi = Character(L, {L.xpos(-alpha): 1})
-        rep = baby_verma(L, chi, {i: 0 for i in range(1, L.l + 1)})
-
-    uea = L.enveloping()
-    xa = uea.from_lie(L.x(alpha))
+        rep = baby_verma(L, Character(L, {L.xpos(-alpha): 1}), {i: 0 for i in range(1, L.l + 1)})
+        Xa = evaluate(xa, rep)
     spec_entries = []
     consistent = True
     for s, r, stable in zip(specs, results, stability):
@@ -740,7 +738,7 @@ def verification_report(
                     k: [_sgnstr(x) for x in v] for k, v in r.variant_solutions.items()
                 }
             if rep is not None:
-                entry["rep_check"] = _rep_cross_check(L, s, r, xa, rep)
+                entry["rep_check"] = _rep_cross_check(L, s, r, xa, Xa, rep)
                 if not entry["rep_check"]["consistent"]:
                     consistent = False
         spec_entries.append(entry)
@@ -791,14 +789,13 @@ def _sgnstr(signs: tuple[int, ...]) -> str:
     return "".join("+" if s > 0 else "-" for s in signs) or "(none)"
 
 
-def _rep_cross_check(L, spec, result, xa, rep) -> dict:
-    """Independent matrix-side commutator per assignment.  The symbolic and
-    matrix commutators must agree; solved assignments must give the zero
-    matrix, and nonzero residues must either evaluate nonzero or carry a
-    nonzero homogeneous weight."""
+def _rep_cross_check(L, spec, result, xa, Xa, rep) -> dict:
+    """Independent matrix-side commutator per assignment, with Xa the matrix
+    of xa.  The symbolic and matrix commutators must agree; solved
+    assignments must give the zero matrix, and nonzero residues must either
+    evaluate nonzero or carry a nonzero homogeneous weight."""
     from .redenv import evaluate
 
-    Xa = evaluate(xa, rep)
     checked = []
     ok = True
     for a in result.assignments:

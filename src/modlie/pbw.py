@@ -161,10 +161,10 @@ class UEElement:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative powers are not defined in U(L)")
-        out = self.uea.one()
-        for _ in range(n):
-            out = multiply(out, self)
-        return out
+        if n == 0:
+            return self.uea.one()
+        half = self ** (n // 2)  # square-and-multiply
+        return multiply(half, multiply(half, self)) if n % 2 else multiply(half, half)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):

@@ -3,9 +3,11 @@ and irreducibility/invertibility testing.
 
 A baby Verma module is induced from the one-dimensional Borel module of
 weight lambda: its basis is the set of restricted monomials in the m
-negative root vectors (p^m of them, ordered lexicographically by exponent
-tuple), and a generator acts by straightening its left multiplication and
-then rewriting every p-th power through x^p = x^[p] + chi(x)^p.
+negative root vectors applied to the highest-weight line v (p^m of them,
+ordered lexicographically by exponent tuple).  A generator acts by
+straightening its left multiplication on these module vectors, in code
+separate from pbw's straightening in U(L), so evaluating PBW normal forms
+on the matrices checks one against the other.
 """
 
 from __future__ import annotations
@@ -35,6 +37,15 @@ class IncompatibleWeight(ValueError):
     def __init__(self, coroot: int):
         super().__init__(f"no compatible weight value at simple coroot {coroot}")
         self.coroot = coroot
+
+
+# largest p^m that baby_verma builds: B2 at p = 13 (28561, 136 MB peak) and B3
+# at p = 3 (19683, 175 MB) fit; B3 at p = 5 (5^9) or 7 (7^9) would exhaust memory
+MAX_MODULE_DIM = 2**15
+
+
+class ModuleTooLarge(ValueError):
+    """The baby Verma module would have more than MAX_MODULE_DIM dimensions."""
 
 
 @dataclass
@@ -131,10 +142,7 @@ class MatrixRep:
         return C
 
     def is_zero_matrix(self, A: sp.csr_matrix) -> bool:
-        B = A.copy()
-        B.data %= self.p
-        B.eliminate_zeros()
-        return B.nnz == 0
+        return not (A.data % self.p).any()
 
     def mats_equal(self, A: sp.csr_matrix, B: sp.csr_matrix) -> bool:
         return self.is_zero_matrix((A - B).tocsr())
@@ -145,13 +153,20 @@ def baby_verma(L: LieAlgebra, chi: Character, lam: dict[int, int]) -> MatrixRep:
 
     lam maps simple-coroot indices (1..l) to F_p values and must satisfy
     lam(h)^p - lam(h) = chi(h)^p on every simple coroot.
+
+    Column f^a v of rho(x_g), with f_i0^e0 the first factor of f^a, is
+    straightened on module vectors and memoized per (g, column): x_g v is
+    f_g v, lam(h) v or 0; x_g f^a v = f_g f^a v if g < i0; f_i0 raises e0,
+    with f^p = chi(f)^p; otherwise x_g f_i0^e0 R v = f_i0 (x_g f_i0^(e0-1) R v)
+    + [x_g, f_i0] f_i0^(e0-1) R v.  Filling the columns in increasing order
+    keeps the recursion about 3 frames deep (B2 at p = 7 and 11, B3 at p = 3).
     """
     if not L.p:
         raise NotModP("baby Verma modules require positive characteristic")
     L.check_same(chi.algebra)
     if not chi.is_standard:
         raise NonStandardCharacter("chi must vanish on positive root vectors")
-    p = L.p
+    p, m, n = L.p, L.m, L.n
     bad = [i for i in lam if i not in range(1, L.l + 1)]
     if bad:
         raise ValueError(f"lambda keys {bad} are outside 1..{L.l}")
@@ -159,73 +174,67 @@ def baby_verma(L: LieAlgebra, chi: Character, lam: dict[int, int]) -> MatrixRep:
     for i in range(1, L.l + 1):
         if (pow(lam[i], p, p) - lam[i]) % p != pow(chi.value(L.hpos(i)), p, p):
             raise IncompatibleWeight(i)
+    if p**m > MAX_MODULE_DIM:
+        raise ModuleTooLarge(f"module dimension {p}^{m} exceeds the limit of {MAX_MODULE_DIM}")
 
-    neg = tuple(
-        b.position for b in L.basis if b.kind == "x" and L.rs.height(b.root) < 0
-    )
-    m = len(neg)
     dim = p**m
-    negset = set(neg)
-    negindex = {pos: j for j, pos in enumerate(neg)}
-    weights = [p ** (m - 1 - j) for j in range(m)]  # lexicographic ranking
-    uea = L.enveloping()
+    # the basis order puts the m negative root vectors first, so f_j is x_j;
+    # column f^a v has index sum a_j w_j (lexicographic in the exponent tuple)
+    w = [p ** (m - 1 - j) for j in range(m)]
+    lead = [m]  # i0 of each column, so its first factor is f_i0^(col // w[i0]); v has none
+    for j in reversed(range(m)):
+        lead += [j] * ((p - 1) * w[j])
+    chi_p = [pow(chi.value(j), p, p) for j in range(m)]
+    lam_at = {L.hpos(i): lam[i] for i in range(1, L.l + 1) if lam[i]}
+    memo: list[list[dict[int, int] | None]] = [[None] * dim for _ in range(n)]
 
-    def column_action(gpos: int, exps: tuple[int, ...]) -> dict[int, int]:
-        mono: Mono = tuple((neg[j], e) for j, e in enumerate(exps) if e)
-        entries: dict[int, int] = {}
-        for w, c in uea.gen_into_mono(gpos, mono).items():
-            coeff = c
-            out = [0] * m
-            dead = False
-            for pos, e in w:
-                if pos in negset:
-                    if e >= p:
-                        coeff = (coeff * pow(chi.value(pos), p, p)) % p
-                        e -= p
-                    out[negindex[pos]] = e
-                elif L.basis[pos].kind == "h":
-                    coeff = (coeff * pow(lam[L.basis[pos].coroot], e, p)) % p
-                else:
-                    dead = True  # positive root vector kills the highest line
-                    break
-            if dead or coeff == 0:
-                continue
-            row = sum(v * wt for v, wt in zip(out, weights))
-            entries[row] = (entries.get(row, 0) + coeff) % p
-        return entries
+    def act(g: int, col: int) -> dict[int, int]:
+        res = memo[g][col]
+        if res is not None:
+            return res
+        i0 = lead[col]
+        if g < i0:
+            res = {col + w[g]: 1}
+        elif col == 0:  # a coroot or a positive root vector on v
+            res = {0: lam_at[g]} if g in lam_at else {}
+        elif g == i0 and col // w[g] < p - 1:
+            res = {col + w[g]: 1}
+        elif g == i0:  # f^p = chi(f)^p
+            res = {col - (p - 1) * w[g]: chi_p[g]} if chi_p[g] else {}
+        else:
+            rest = col - w[i0]
+            acc: dict[int, int] = {}
+            for row, c in act(g, rest).items():
+                for row2, c2 in act(i0, row).items():
+                    acc[row2] = acc.get(row2, 0) + c * c2
+            for k, bk in L.table_entry(g, i0).items():
+                for row2, c2 in act(k, rest).items():
+                    acc[row2] = acc.get(row2, 0) + bk * c2
+            res = {row: c % p for row, c in acc.items() if c % p}
+        memo[g][col] = res
+        return res
 
-    generators: dict[int, sp.csr_matrix] = {}
-    exp_tuples = _exponent_tuples(m, p)
-    for b in L.basis:
-        rows, cols, data = [], [], []
-        for col, exps in enumerate(exp_tuples):
-            for row, val in column_action(b.position, exps).items():
-                if val % p:
-                    rows.append(row)
-                    cols.append(col)
-                    data.append(val % p)
-        M = sp.csr_matrix(
-            (np.array(data, dtype=np.int64), (rows, cols)), shape=(dim, dim)
-        )
-        M.data %= p
-        M.eliminate_zeros()
-        generators[b.position] = M
+    rows, cols, data = ([[] for _ in range(n)] for _ in range(3))
+    for col in range(dim):
+        for g in range(n):
+            entries = act(g, col)
+            rows[g] += entries
+            cols[g] += [col] * len(entries)
+            data[g] += entries.values()
+    generators = {
+        g: sp.csr_matrix((np.array(data[g], dtype=np.int64), (rows[g], cols[g])), shape=(dim, dim))
+        for g in range(n)
+    }
+    memo.clear()  # act refers to itself, so it would hold the memo until gc
     return MatrixRep(
         algebra=L,
         p=p,
         dim=dim,
-        neg_positions=neg,
+        neg_positions=tuple(range(m)),
         generators=generators,
         chi=chi,
         lam=lam,
     )
-
-
-def _exponent_tuples(m: int, p: int) -> list[tuple[int, ...]]:
-    out = [()]
-    for _ in range(m):
-        out = [t + (v,) for t in out for v in range(p)]
-    return out
 
 
 def export_text(rep: MatrixRep) -> str:

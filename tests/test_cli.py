@@ -422,3 +422,17 @@ def test_command_report_bytes_pinned(tmp_path, capsys, argv):
     out = tmp_path / "report.json"
     code, _, _ = run_main(capsys, *argv, "--out", str(out))
     assert (code, hashlib.sha256(out.read_bytes()).hexdigest()) == COMMAND_REPORTS[argv]
+
+
+def test_baby_verma_above_size_limit_exits_two(capsys):
+    code, out, err = run_main(capsys, "baby-verma", "--family", "B", "--rank", "3", "--p", "7")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "7^9 exceeds the limit" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_normalform_high_power_is_one_monomial(capsys):
+    code, out, _ = run_main(capsys, "normalform", "x(-e1)^3000", "--family", "A", "--rank", "1")
+    assert code == 0
+    assert out.splitlines()[0] == "x(-e1)^3000"

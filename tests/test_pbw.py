@@ -188,3 +188,23 @@ def test_memoized_results_stable(b2_p7):
     second = multiply(u, v)
     assert first == second
     assert mono_degree(max(first.terms, key=mono_degree, default=())) <= 8
+
+
+@pytest.mark.parametrize("p", [0, 7])
+def test_power_equals_repeated_multiplication(b2_rs, p):
+    L = build_chevalley(b2_rs, p)
+    U = L.enveloping()
+    rng = random.Random(11)
+    for _ in range(4):
+        u = rand_element(U, rng, max_terms=3, max_degree=2)
+        expected = U.one()
+        for n in range(6):
+            assert u**n == expected
+            expected = multiply(expected, u)
+
+
+def test_power_of_a_single_root_vector_stays_one_monomial(a1_rs):
+    L = build_chevalley(a1_rs, 0)
+    U = L.enveloping()
+    f = U.gen(L.xpos(-Root((1,))))
+    assert (f**3000).terms == {((L.xpos(-Root((1,))), 3000),): 1}

@@ -687,3 +687,93 @@ def test_export_text_format(a1_p5):
         for r, c, v in seen.get(b.label, []):
             rebuilt[r, c] = v
         assert np.array_equal(M, rebuilt)
+
+
+# -- module straightening ---------------------------------------------------
+
+# export_text SHA-256 of modules built by the U(L) straightening that the
+# module recursion replaced; the new build must give the same bytes
+PINNED_MODULES = [
+    (("A", 1, 7), {(-1,): 2}, {1: 3}, "bbdaefbb9df986b267bbb4f6c0a2a2d45d99fda3409979429d6e70464ab71a65"),
+    (("A", 2, 5), {(-1, 1, 0): 1}, {1: 2, 2: 0}, "a22f34450929dc6971b3fccb95cef38a028182bfcc37dc527629a76ae27cc62c"),
+    (("A", 2, 5), {}, {1: 1, 2: 3}, "a4944e07d4b0d927ce9b350a76781fcd77736da743bd4bc0d829899d0d4c3977"),
+    (("B", 2, 5), {(-1, 0): 1}, {1: 0, 2: 0}, "41cf306a3af6f365a43c5c561fd3ec76064d94a66414edb9155a03b61bfd9182"),
+    (("B", 2, 7), {(-1, 0): 1}, {1: 0, 2: 0}, "65dbe9902a3f9ca68d530754705024c655a0f6c24a28095e17282e037a8ef930"),
+    (("B", 2, 7), {(-1, 1): 1}, {1: 0, 2: 0}, "8e21c94e3dbaf21684d027fe50dd092659af741fee4160693570ab56f2781a8a"),
+    (("C", 2, 5), {(0, -2): 1}, {1: 1, 2: 0}, "d9cb529a265bae9628131c9414247331be235cf140234c15f35eae7558b43387"),
+    # 14641 columns, built under the default recursion limit
+    (("B", 2, 11), {(-1, 0): 1}, {}, "053e8041ffef2d8634cfda484fed0c5407949a89d6f0f5ebbfebecbe54a203ec"),
+]
+
+
+def pinned_module(family, rank, p, chi):
+    L = build_chevalley(build_root_system(family, rank), p, allow_small=True)
+    return L, Character(L, {L.xpos(Root(r)): v for r, v in chi.items()})
+
+
+@pytest.mark.parametrize("algebra, chi, lam, digest", PINNED_MODULES)
+def test_baby_verma_bytes_pinned(algebra, chi, lam, digest):
+    import hashlib
+
+    from modlie.redenv import export_text
+
+    L, character = pinned_module(*algebra, chi)
+    rep = baby_verma(L, character, lam)
+    assert hashlib.sha256(export_text(rep).encode()).hexdigest() == digest
+    assert rep_check_brackets(rep)
+    assert rep_check_restrictedness(rep)
+
+
+def test_baby_verma_does_not_straighten_in_enveloping_algebra(monkeypatch):
+    from modlie.pbw import EnvelopingAlgebra
+
+    def forbidden(self, g, m):
+        raise AssertionError("baby_verma straightened in U(L)")
+
+    monkeypatch.setattr(EnvelopingAlgebra, "gen_into_mono", forbidden)
+    L, character = pinned_module("B", 2, 5, {(-1, 0): 1})
+    assert baby_verma(L, character, {}).dim == 625
+
+
+def test_baby_verma_recursion_stays_shallow():
+    import sys
+
+    L, character = pinned_module("B", 2, 7, {(-1, 0): 1})
+    depth = [0, 0]
+
+    def count(frame, event, arg):
+        if frame.f_code.co_name == "act" and frame.f_globals["__name__"] == "modlie.redenv":
+            if event == "call":
+                depth[0] += 1
+                depth[1] = max(depth)
+            elif event == "return":
+                depth[0] -= 1
+
+    sys.setprofile(count)
+    try:
+        baby_verma(L, character, {})
+    finally:
+        sys.setprofile(None)
+    assert 1 <= depth[1] <= 4
+
+
+def test_baby_verma_size_limit(monkeypatch):
+    import modlie.redenv as redenv
+
+    # the limit admits the largest modules the scripts and the benchmark build
+    assert 3**9 <= redenv.MAX_MODULE_DIM and 11**4 <= redenv.MAX_MODULE_DIM < 7**9
+    L, character = pinned_module("A", 2, 5, {(-1, 1, 0): 1})
+    monkeypatch.setattr(redenv, "MAX_MODULE_DIM", 124)
+    with pytest.raises(redenv.ModuleTooLarge, match=r"5\^3 exceeds the limit of 124") as exc:
+        baby_verma(L, character, {})
+    assert isinstance(exc.value, ValueError)
+    monkeypatch.setattr(redenv, "MAX_MODULE_DIM", 125)
+    assert baby_verma(L, character, {}).dim == 125
+
+
+def test_baby_verma_size_limit_before_building():
+    from modlie.redenv import ModuleTooLarge
+
+    L = build_chevalley(build_root_system("B", 3), 7)
+    with pytest.raises(ModuleTooLarge, match=r"7\^9"):
+        baby_verma(L, Character(L, {}), {})
