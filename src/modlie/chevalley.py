@@ -162,9 +162,11 @@ class LieAlgebra:
 
     # -- bookkeeping ---------------------------------------------------
 
-    def normalize(self, coeffs: dict[int, int]) -> dict[int, int]:
+    def normalize(self, coeffs: dict) -> dict:
+        """The coefficient dict of an element of L or U(L), reduced mod p
+        (when p > 0) and without zero coefficients."""
         if self.p:
-            return {k: v % self.p for k, v in coeffs.items() if v % self.p}
+            return {k: r for k, v in coeffs.items() if (r := v % self.p)}
         return {k: v for k, v in coeffs.items() if v}
 
     def check_same(self, other: "LieAlgebra"):

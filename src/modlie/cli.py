@@ -304,6 +304,8 @@ def _cmd_central(cfg: RunConfig) -> tuple[int, dict]:
 
 def _cmd_verify_lee(cfg: RunConfig) -> tuple[int, dict]:
     _require_family_B(cfg)
+    if not cfg.p:
+        raise ConfigError("verify-lee needs p > 0: coefficient families live over F_p")
     L = _build_algebra(cfg)
     report = verification_report(L, cfg.case, seed=cfg.seed)
     s = report["summary"]

@@ -56,7 +56,7 @@ class ABSpec:
     case: str  # "I" or "II"
     slot: int  # 1-based position in the candidate ordering
     target: Root
-    origin: str  # "direct" | "casimir" | "bank" | "square" | "cube" | "paren-reuse"
+    origin: str  # "direct" | "casimir" | "bank" | "square" | "cube"
     status: str  # "ok" | "impossible_for_rank" | "uncovered"
     prefactor: Expr | None = None
     body: Expr | None = None
@@ -210,25 +210,16 @@ def _bank(L: LieAlgebra, case: str) -> dict[Root, list[_Entry]]:
     return bank
 
 
-def _commutes(L: LieAlgebra, alpha: Root, u: UEElement) -> bool:
-    xa = L.enveloping().from_lie(L.x(alpha))
-    return commutator(xa, u).is_zero
-
-
-def _fallback(L: LieAlgebra, alpha: Root, beta: Root, bank: dict) -> _Entry | None:
-    """x_beta^2 or ^3 when it commutes with x_alpha, else a commuting power
-    attached to the parenthesis already used for the opposite target."""
+def _fallback(L: LieAlgebra, alpha: Root, beta: Root) -> _Entry | None:
+    """x_beta^2 or ^3 when it commutes with x_alpha.  Off the bank, alpha +
+    beta is not a root, so the square commutes, except for +-e2 at rank 2 in
+    case I; there the cube commutes only at p = 3, and otherwise the target is
+    impossible_for_rank, as is the opposite one."""
     uea = L.enveloping()
+    xa = uea.from_lie(L.x(alpha))
     for k, origin in ((2, "square"), (3, "cube")):
-        if _commutes(L, alpha, to_ue(Pow(_X(beta), k), uea)):
+        if commutator(xa, to_ue(Pow(_X(beta), k), uea)).is_zero:
             return _Entry(origin, None, Pow(_X(beta), k))
-    for entry in bank.get(-beta, []):
-        if entry.reason is None and isinstance(entry.body, Add):
-            # first commuting root-vector power in canonical order; squaring it
-            # keeps the product's commutator entirely inside the parenthesis part
-            for gamma in L.rs.roots:
-                if _commutes(L, alpha, uea.from_lie(L.x(gamma))):
-                    return _Entry("paren-reuse", Pow(_X(gamma), 2), entry.body)
     return None
 
 
@@ -240,7 +231,7 @@ def _build_case(L: LieAlgebra, case: str) -> list[ABSpec]:
     specs: list[ABSpec] = []
     for slot, target in enumerate(_slot_order(L, case), start=1):
         entries = bank.get(target, [])
-        entry = next((x for x in entries if x.reason is None), None) or _fallback(L, alpha, target, bank)
+        entry = next((x for x in entries if x.reason is None), None) or _fallback(L, alpha, target)
         status = "ok"
         if entry is None:
             status = "impossible_for_rank" if entries else "uncovered"
@@ -281,6 +272,7 @@ class Assignment:
     signs: tuple[int, ...]
     commutes: bool
     residue: UEElement | None  # nonzero commutator normal form when not commuting
+    element: UEElement  # the template expanded with these signs
 
     @property
     def diagonal(self) -> bool:
@@ -318,9 +310,10 @@ def expand_spec(spec, L: LieAlgebra, signs: tuple[int, ...] = (), c_value: int =
 
 
 def _sign_commutators(template, L: LieAlgebra, xa: UEElement, c_value: int):
-    """(signs, [x_alpha, template]) for every sign assignment."""
+    """(signs, element, [x_alpha, element]) for every sign assignment."""
     for signs in itertools.product((1, -1), repeat=template.sign_slots):
-        yield signs, commutator(xa, expand_spec(template, L, signs, c_value))
+        u = expand_spec(template, L, signs, c_value)
+        yield signs, u, commutator(xa, u)
 
 
 def solve_signs(spec: ABSpec, L: LieAlgebra, c_value: int = 0) -> SolveResult:
@@ -335,14 +328,14 @@ def solve_signs(spec: ABSpec, L: LieAlgebra, c_value: int = 0) -> SolveResult:
     if spec.status != "ok":
         return res
     xa = L.enveloping().from_lie(L.x(alpha))
-    for signs, comm in _sign_commutators(spec, L, xa, c_value):
+    for signs, u, comm in _sign_commutators(spec, L, xa, c_value):
         res.assignments.append(
-            Assignment(signs=signs, commutes=comm.is_zero, residue=None if comm.is_zero else comm)
+            Assignment(signs=signs, commutes=comm.is_zero, residue=None if comm.is_zero else comm, element=u)
         )
     res.status = "solved" if any(a.commutes for a in res.assignments) else "nosolution"
     for variant in spec.variants:
         res.variant_solutions[variant.label] = [
-            signs for signs, comm in _sign_commutators(variant, L, xa, c_value) if comm.is_zero
+            signs for signs, _, comm in _sign_commutators(variant, L, xa, c_value) if comm.is_zero
         ]
     return res
 
@@ -699,11 +692,10 @@ def verification_report(
         r2 = solve_signs(s, L, c_value=1)
         stability.append(r.solved == r2.solved and r.status == r2.status)
 
-    xa = L.enveloping().from_lie(L.x(alpha))
     rep = Xa = None
     if L.p and L.p ** L.m <= REP_DIM_LIMIT:
         rep = baby_verma(L, Character(L, {L.xpos(-alpha): 1}), {i: 0 for i in range(1, L.l + 1)})
-        Xa = evaluate(xa, rep)
+        Xa = evaluate(L.enveloping().from_lie(L.x(alpha)), rep)
     spec_entries = []
     consistent = True
     for s, r, stable in zip(specs, results, stability):
@@ -738,7 +730,7 @@ def verification_report(
                     k: [_sgnstr(x) for x in v] for k, v in r.variant_solutions.items()
                 }
             if rep is not None:
-                entry["rep_check"] = _rep_cross_check(L, s, r, xa, Xa, rep)
+                entry["rep_check"] = _rep_cross_check(r, Xa, rep)
                 if not entry["rep_check"]["consistent"]:
                     consistent = False
         spec_entries.append(entry)
@@ -789,20 +781,21 @@ def _sgnstr(signs: tuple[int, ...]) -> str:
     return "".join("+" if s > 0 else "-" for s in signs) or "(none)"
 
 
-def _rep_cross_check(L, spec, result, xa, Xa, rep) -> dict:
+def _rep_cross_check(result, Xa, rep) -> dict:
     """Independent matrix-side commutator per assignment, with Xa the matrix
-    of xa.  The symbolic and matrix commutators must agree; solved
-    assignments must give the zero matrix, and nonzero residues must either
-    evaluate nonzero or carry a nonzero homogeneous weight."""
+    of x_alpha: rho(element) and rho(residue) are evaluated separately, and
+    the symbolic commutator is the residue that solve_signs kept (zero when
+    commuting).  The two sides must agree; solved assignments must give the
+    zero matrix, and nonzero residues must either evaluate nonzero or carry a
+    nonzero homogeneous weight."""
     from .redenv import evaluate
 
     checked = []
     ok = True
     for a in result.assignments:
-        u = expand_spec(spec, L, a.signs, 0)
-        A = evaluate(u, rep)
+        A = evaluate(a.element, rep)
         mat_comm = (rep.matmul(Xa, A) - rep.matmul(A, Xa)).tocsr()
-        sym = commutator(xa, u)
+        sym = a.residue if a.residue is not None else rep.algebra.enveloping().zero()
         sym_mat = evaluate(sym, rep)
         agree = rep.mats_equal(mat_comm, sym_mat)
         entry = {"signs": _sgnstr(a.signs), "homomorphism": agree}

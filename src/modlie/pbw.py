@@ -60,9 +60,6 @@ class EnvelopingAlgebra:
 
     # -- straightening core ----------------------------------------------
 
-    def _norm(self, c: int) -> int:
-        return c % self.p if self.p else c
-
     def gen_into_mono(self, g: int, m: Mono) -> dict[Mono, int]:
         """Normal form of x_g * m as a monomial->coefficient dict (memoized)."""
         key = (g, m)
@@ -86,8 +83,7 @@ class EnvelopingAlgebra:
                 for k, bk in self.lie.table_entry(g, i0).items():
                     for w2, c2 in self.gen_into_mono(k, rest).items():
                         acc[w2] = acc.get(w2, 0) + bk * c2
-                res = {w: self._norm(c) for w, c in acc.items()}
-                res = {w: c for w, c in res.items() if c}
+                res = self.lie.normalize(acc)
         self._memo[key] = res
         return res
 
@@ -96,7 +92,7 @@ class EnvelopingAlgebra:
         for m, c in terms.items():
             for w, c2 in self.gen_into_mono(g, m).items():
                 out[w] = out.get(w, 0) + c * c2
-        return {w: self._norm(c) for w, c in out.items() if self._norm(c)}
+        return self.lie.normalize(out)
 
     def mono_product(self, m1: Mono, m2: Mono) -> dict[Mono, int]:
         cur = {m2: 1}
@@ -114,11 +110,7 @@ class UEElement:
     terms: dict[Mono, int]
 
     def __post_init__(self):
-        p = self.uea.p
-        if p:
-            self.terms = {m: c % p for m, c in self.terms.items() if c % p}
-        else:
-            self.terms = {m: c for m, c in self.terms.items() if c}
+        self.terms = self.uea.lie.normalize(self.terms)
 
     # -- ring operations --------------------------------------------------
 

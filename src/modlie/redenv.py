@@ -43,9 +43,15 @@ class IncompatibleWeight(ValueError):
 # at p = 3 (19683, 175 MB) fit; B3 at p = 5 (5^9) or 7 (7^9) would exhaust memory
 MAX_MODULE_DIM = 2**15
 
+# largest module that is_irreducible tests: it holds d x d int64 arrays (the
+# Krylov matrix, theta, theta - c and an elimination copy), 134 MB each at
+# 2^12 and 1.7 GB at B2 p = 11 (d = 11^4)
+MAX_DENSE_DIM = 2**12
+
 
 class ModuleTooLarge(ValueError):
-    """The baby Verma module would have more than MAX_MODULE_DIM dimensions."""
+    """The module has more than MAX_MODULE_DIM dimensions (baby_verma) or
+    more than MAX_DENSE_DIM (is_irreducible)."""
 
 
 @dataclass
@@ -58,8 +64,7 @@ class Character:
     def __post_init__(self):
         if not self.algebra.p:
             raise NotModP("characters require positive characteristic")
-        p = self.algebra.p
-        self.values = {k: v % p for k, v in self.values.items() if v % p}
+        self.values = self.algebra.normalize(self.values)
 
     def value(self, pos: int) -> int:
         return self.values.get(pos, 0)
@@ -409,10 +414,13 @@ def is_irreducible(rep: MatrixRep, seed: int = 0, trials: int = 50) -> Irreducib
     dim N = 1 and both spins are full, the module is irreducible --
     absolutely, so the image of U is all d x d matrices (Burnside) and
     span_dim = d^2.  When the trials run out the verdict is "inconclusive",
-    never a silent "irreducible"; so trials=0 gives it at every dim > 1."""
+    never a silent "irreducible"; so trials=0 gives it at every dim > 1.
+    Above MAX_DENSE_DIM it raises ModuleTooLarge before allocating."""
     p, d = rep.p, rep.dim
     if d == 1:
         return IrreducibilityVerdict("irreducible", span_dim=1)
+    if d > MAX_DENSE_DIM:
+        raise ModuleTooLarge(f"irreducibility test at dimension {d} exceeds the limit of {MAX_DENSE_DIM}")
     check_int64_sum(p, d)  # each product below sums d residue products
     positions = [b.position for b in rep.algebra.basis]
     gens = sp.vstack([rep.generators[q] for q in positions], format="csr")

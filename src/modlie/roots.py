@@ -20,8 +20,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-FAMILIES = ("A", "B", "C", "D")
-
 
 class UnsupportedRank(ValueError):
     """Requested rank is outside the family's supported range."""
@@ -81,70 +79,32 @@ def _unit(i: int, dim: int) -> Root:
     return Root(tuple(c))
 
 
+# family -> (least rank, roots beside the +-e_i +- e_j that B, C and D share,
+# last simple root), over the units e of the ambient space; every base starts
+# with e_i - e_(i+1), i < l (Bourbaki, Lie Groups and Lie Algebras VI, Plates I-IV)
+_TABLE = {
+    "A": (1, lambda e: [a - b for a, b in itertools.permutations(e, 2)], lambda e: e[-2] - e[-1]),
+    "B": (2, lambda e: [r for x in e for r in (x, -x)], lambda e: e[-1]),
+    "C": (2, lambda e: [r for x in e for r in (x + x, -x - x)], lambda e: e[-1] + e[-1]),
+    "D": (3, lambda e: [], lambda e: e[-2] + e[-1]),
+}
+FAMILIES = tuple(_TABLE)
+
+
 def _family_roots(family: str, rank: int) -> tuple[int, list[Root], list[Root]]:
     """Return (ambient dim, all roots, base) for the requested family and rank."""
-    if family == "A":
-        if rank < 1:
-            raise UnsupportedRank("family A needs rank >= 1")
-        if rank == 1:
-            e1 = _unit(1, 1)
-            return 1, [e1, -e1], [e1]
-        dim = rank + 1
-        roots = [
-            _unit(i, dim) - _unit(j, dim)
-            for i in range(1, dim + 1)
-            for j in range(1, dim + 1)
-            if i != j
-        ]
-        base = [_unit(i, dim) - _unit(i + 1, dim) for i in range(1, rank + 1)]
-        return dim, roots, base
-    if family == "B":
-        if rank < 2:
-            raise UnsupportedRank("family B needs rank >= 2")
-        dim = rank
-        roots = []
-        for i in range(1, dim + 1):
-            roots += [_unit(i, dim), -_unit(i, dim)]
-        for i in range(1, dim + 1):
-            for j in range(i + 1, dim + 1):
-                for si, sj in itertools.product((1, -1), repeat=2):
-                    c = [0] * dim
-                    c[i - 1], c[j - 1] = si, sj
-                    roots.append(Root(tuple(c)))
-        base = [_unit(i, dim) - _unit(i + 1, dim) for i in range(1, rank)] + [_unit(rank, dim)]
-        return dim, roots, base
-    if family == "C":
-        if rank < 2:
-            raise UnsupportedRank("family C needs rank >= 2")
-        dim = rank
-        roots = []
-        for i in range(1, dim + 1):
-            two = Root(tuple(2 if k == i - 1 else 0 for k in range(dim)))
-            roots += [two, -two]
-        for i in range(1, dim + 1):
-            for j in range(i + 1, dim + 1):
-                for si, sj in itertools.product((1, -1), repeat=2):
-                    c = [0] * dim
-                    c[i - 1], c[j - 1] = si, sj
-                    roots.append(Root(tuple(c)))
-        base = [_unit(i, dim) - _unit(i + 1, dim) for i in range(1, rank)]
-        base.append(Root(tuple(2 if k == rank - 1 else 0 for k in range(dim))))
-        return dim, roots, base
-    if family == "D":
-        if rank < 3:
-            raise UnsupportedRank("family D needs rank >= 3")
-        dim = rank
-        roots = []
-        for i in range(1, dim + 1):
-            for j in range(i + 1, dim + 1):
-                for si, sj in itertools.product((1, -1), repeat=2):
-                    c = [0] * dim
-                    c[i - 1], c[j - 1] = si, sj
-                    roots.append(Root(tuple(c)))
-        base = [_unit(i, dim) - _unit(i + 1, dim) for i in range(1, rank)]
-        base.append(_unit(rank - 1, dim) + _unit(rank, dim))
-        return dim, roots, base
-    raise UnsupportedRank(f"unknown family {family!r}")
+    least, extra, last = _TABLE[family]
+    if rank < least:
+        raise UnsupportedRank(f"family {family} needs rank >= {least}")
+    if family == "A" and rank == 1:
+        e1 = _unit(1, 1)
+        return 1, [e1, -e1], [e1]
+    dim = rank + 1 if family == "A" else rank
+    e = [_unit(i, dim) for i in range(1, dim + 1)]
+    roots = extra(e)
+    if family != "A":
+        roots += [r for a, b in itertools.combinations(e, 2) for r in (a + b, a - b, b - a, -a - b)]
+    return dim, roots, [e[i] - e[i + 1] for i in range(rank - 1)] + [last(e)]
 
 
 def _climb(base: list[Root], roots: list[Root]) -> dict[Root, tuple[int, ...]]:
@@ -175,7 +135,6 @@ class RootSystem:
     base: tuple[Root, ...]
     expansions: dict = field(repr=False, compare=False, default_factory=dict)
     _set: frozenset = field(repr=False, compare=False, default_factory=frozenset)
-    _index: dict = field(repr=False, compare=False, default_factory=dict)
 
     def __contains__(self, r: Root) -> bool:
         return r in self._set
@@ -189,12 +148,6 @@ class RootSystem:
 
     def height(self, r: Root) -> int:
         return sum(self.expansion(r))
-
-    def index(self, r: Root) -> int:
-        try:
-            return self._index[r]
-        except KeyError:
-            raise RootNotInSystem(f"{r} not in {self.family}{self.rank}") from None
 
     def unit(self, i: int) -> Root | None:
         """e_i as a Root of this system's ambient space, or None if i > dim."""
@@ -211,7 +164,6 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     expansions = _climb(base, roots)
     heights = {r: sum(expansions[r]) for r in roots}
     ordered = tuple(sorted(roots, key=lambda r: (heights[r], r.coords)))
-    index = {r: i for i, r in enumerate(ordered)}
     return RootSystem(
         family=family,
         rank=rank,
@@ -220,7 +172,6 @@ def build_root_system(family: str, rank: int) -> RootSystem:
         base=tuple(base),
         expansions=expansions,
         _set=frozenset(ordered),
-        _index=index,
     )
 
 

@@ -86,6 +86,7 @@ BAD_INPUTS = [
     (["baby-verma", "--p", "5"], None, "small-prime"),
     (["verify-lee", "--family", "A"], None, "family B"),
     (["independence", "--p", "0"], None, "over F_p"),
+    (["verify-lee", "--p", "0"], None, "over F_p"),
     (["baby-verma", "--chi", "x(+e1)=1"], None, "positive root vectors"),
     (
         ["baby-verma", "--family", "A", "--rank", "1", "--p", "7",

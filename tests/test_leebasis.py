@@ -487,3 +487,50 @@ def test_deficient_rank_forms_no_product_or_evaluation(monkeypatch, b2_p7, parti
     assert (rpt.count, rpt.rank) == (15, 1)
     assert rpt.witnesses == expected.witnesses
     assert len(rpt.witnesses) == 14
+
+
+def test_rep_cross_check_reuses_the_solve(monkeypatch, b2_p7):
+    # the cross-check evaluates rho(element) and rho(residue) of each
+    # assignment as solve_signs left them; it expands and commutes nothing
+    import modlie.leebasis as leebasis
+
+    L = b2_p7
+    doc = verification_report(L, "I", seed=0)
+    specs = build_case_I(L)
+    results = [solve_signs(s, L) for s in specs]
+    rep = baby_verma(L, Character(L, {L.xpos(-E1B2): 1}), {1: 0, 2: 0})
+    Xa = evaluate(L.enveloping().from_lie(L.x(E1B2)), rep)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the cross-check must not expand or commute again")
+
+    monkeypatch.setattr(leebasis, "expand_spec", forbidden)
+    monkeypatch.setattr(leebasis, "commutator", forbidden)
+    checks = [leebasis._rep_cross_check(r, Xa, rep) for s, r in zip(specs, results) if s.status == "ok"]
+    assert checks == [e["rep_check"] for e in doc["specs"] if e["status"] == "ok"]
+    assert all(c["consistent"] for c in checks)
+    assert any("matrix_nonzero" in a for c in checks for a in c["assignments"])
+
+
+def test_fallback_is_a_square_or_a_cube():
+    # off the bank the square of x_beta commutes with x_alpha except for
+    # +-e2 at rank 2 in case I: the cube commutes there only at p = 3, and
+    # otherwise no template of the opposite target is usable either
+    from modlie.leebasis import _bank
+
+    cubes, impossible = set(), set()
+    for rank in range(2, 8):
+        rs = build_root_system("B", rank)
+        for p in (0, 2, 3, 5, 7, 11, 13):
+            L = build_chevalley(rs, p, allow_small=True)
+            for case, build in (("I", build_case_I), ("II", build_case_II)):
+                for spec in build(L):
+                    key = (rank, case, p, spec.target.label)
+                    if spec.origin == "cube":
+                        cubes.add(key)
+                    if spec.status != "ok":
+                        impossible.add(key)
+                        assert spec.status == "impossible_for_rank"
+                        assert all(e.reason for e in _bank(L, case)[-spec.target])
+    assert cubes == {(2, "I", 3, "+e2"), (2, "I", 3, "-e2")}
+    assert impossible == {(2, "I", p, t) for p in (0, 5, 7, 11, 13) for t in ("+e2", "-e2")}

@@ -777,3 +777,25 @@ def test_baby_verma_size_limit_before_building():
     L = build_chevalley(build_root_system("B", 3), 7)
     with pytest.raises(ModuleTooLarge, match=r"7\^9"):
         baby_verma(L, Character(L, {}), {})
+
+
+def test_irreducible_size_limit_before_allocating(monkeypatch):
+    import modlie.redenv as redenv
+
+    # the limit admits the 2401-dimensional B2 module at p = 7 that the suite
+    # decides, and refuses B2 at p = 11, whose dense d x d arrays take 1.7 GB each
+    assert 7**4 <= redenv.MAX_DENSE_DIM < 11**4
+    L, character = pinned_module("A", 2, 5, {(-1, 1, 0): 1})
+    rep = baby_verma(L, character, {})
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("nothing may be allocated above the limit")
+
+    monkeypatch.setattr(redenv, "MAX_DENSE_DIM", 124)
+    monkeypatch.setattr(redenv, "check_int64_sum", forbidden)
+    monkeypatch.setattr(redenv.sp, "vstack", forbidden)
+    with pytest.raises(redenv.ModuleTooLarge, match=r"dimension 125 exceeds the limit of 124"):
+        redenv.is_irreducible(rep)
+    monkeypatch.undo()
+    monkeypatch.setattr(redenv, "MAX_DENSE_DIM", 125)
+    assert redenv.is_irreducible(rep).status == "submodule"

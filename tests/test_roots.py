@@ -205,3 +205,44 @@ def test_reflect_preserves_membership_hypothesis(data):
     b = data.draw(st.sampled_from(rs.roots))
     a = data.draw(st.sampled_from(rs.roots))
     assert reflect(b, a) in rs
+
+
+# SHA-256 of json.dumps([[dim, roots, base, expansions in root order], ...])
+# over the ranks below: a change to any dimension, root, base, canonical order
+# or expansion of these systems changes it
+ROOT_SYSTEM_SHA256 = {
+    "A": (range(1, 9), "3910ab855261bf978b054ca6f6e2fb1a33066fa612a71c52f20140f9de9bcfa3"),
+    "B": (range(2, 9), "ae71bd45662271cd0c8eb30fe63820173cfe77c5ce9ab7366cc452172d2919e2"),
+    "C": (range(2, 9), "a3e167d59a90e96654ad9a1c9d01774625ab09d17533cca9760a815aedeba3f6"),
+    "D": (range(3, 9), "813c946d5b8cca375ea67082edc42570edd5129d8878dbb996324b378b3abe92"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(ROOT_SYSTEM_SHA256))
+def test_root_systems_are_pinned(family):
+    import hashlib
+    import json
+
+    ranks, want = ROOT_SYSTEM_SHA256[family]
+    blob = []
+    for l in ranks:
+        rs = build_root_system(family, l)
+        blob.append([rs.dim, [r.coords for r in rs.roots], [r.coords for r in rs.base],
+                     [rs.expansions[r] for r in rs.roots]])
+    assert hashlib.sha256(json.dumps(blob).encode()).hexdigest() == want
+
+
+@pytest.mark.parametrize(
+    "family, rank, message",
+    [
+        ("A", 0, "family A needs rank >= 1"),
+        ("B", 1, "family B needs rank >= 2"),
+        ("C", 1, "family C needs rank >= 2"),
+        ("D", 2, "family D needs rank >= 3"),
+        ("E", 2, "family must be one of ('A', 'B', 'C', 'D'), got 'E'"),
+    ],
+)
+def test_unsupported_rank_messages(family, rank, message):
+    with pytest.raises(UnsupportedRank) as exc:
+        build_root_system(family, rank)
+    assert str(exc.value) == message
