@@ -86,7 +86,6 @@ BAD_INPUTS = [
     (["baby-verma", "--p", "5"], None, "small-prime"),
     (["verify-lee", "--family", "A"], None, "family B"),
     (["independence", "--p", "0"], None, "over F_p"),
-    (["verify-lee", "--p", "0"], None, "over F_p"),
     (["baby-verma", "--chi", "x(+e1)=1"], None, "positive root vectors"),
     (
         ["baby-verma", "--family", "A", "--rank", "1", "--p", "7",
@@ -113,6 +112,7 @@ BAD_INPUTS = [
     (["check-subalgebra", "--span", "3"], None, "not an element of B2"),
     (["check-subalgebra", "--span", "x(+e1)", "--extend-h", "x(+e2)"], None, "coroot span"),
     (["irreducible", "--family", "A", "--rank", "1", "--p", "7", "--chi", "2=1"], None, "not an element of A1"),
+    (["verify-lee", "--p", "0"], None, "over F_p"),
 ]
 
 
