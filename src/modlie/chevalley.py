@@ -2,8 +2,9 @@
 
 Basis order: negative root vectors, then simple coroots, then positive root
 vectors; each block in the canonical root order.  Structure constants are
-computed once over the integers and reduced mod p only when elements are
-combined, so a characteristic-zero build of the same system shares the table.
+computed once per root system over the integers and reduced mod p only when
+elements are combined, so every build of the system, at any p, shares one
+read-only table.
 
 Sign convention.  For every positive root g that is a sum of positive roots,
 its extraspecial pair (a1, b1) is the special pair (a1 < b1, a1 + b1 = g)
@@ -22,6 +23,8 @@ Jacobi identity are verified exhaustively by the test suite.
 
 from __future__ import annotations
 
+import functools
+import types
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -291,9 +294,12 @@ def bracket(u: LieElement, v: LieElement) -> LieElement:
 # -- structure constants ----------------------------------------------
 
 
-def _structure_constants(rs: RootSystem) -> dict[tuple[Root, Root], int]:
+@functools.cache
+def _structure_constants(rs: RootSystem) -> types.MappingProxyType:
     """N[a, b] for every root pair with a + b a root, resolved from the
-    extraspecial pairs as described in the module docstring."""
+    extraspecial pairs as described in the module docstring.  Computed once
+    per root system (RootSystem is frozen, so equal systems share the entry)
+    and returned read-only, since every algebra over the system shares it."""
     rset = set(rs.roots)
     pos = [r for r in rs.roots if rs.height(r) > 0]
     ordx = {r: i for i, r in enumerate(pos)}
@@ -364,7 +370,7 @@ def _structure_constants(rs: RootSystem) -> dict[tuple[Root, Root], int]:
                 if abs(v) != root_string(b, a, rs)[0] + 1:
                     raise ArithmeticError(f"bad magnitude at {a}, {b}")
                 nall[(a, b)] = v
-    return nall
+    return types.MappingProxyType(nall)
 
 
 # -- subalgebra checks -------------------------------------------------

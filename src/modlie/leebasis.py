@@ -696,6 +696,7 @@ def verification_report(
     if L.p and L.p ** L.m <= REP_DIM_LIMIT:
         rep = baby_verma(L, Character(L, {L.xpos(-alpha): 1}), {i: 0 for i in range(1, L.l + 1)})
         Xa = evaluate(L.enveloping().from_lie(L.x(alpha)), rep)
+    memo: dict = {}  # reduced monomial -> its matrix, shared by the cross-checks
     spec_entries = []
     consistent = True
     for s, r, stable in zip(specs, results, stability):
@@ -730,7 +731,7 @@ def verification_report(
                     k: [_sgnstr(x) for x in v] for k, v in r.variant_solutions.items()
                 }
             if rep is not None:
-                entry["rep_check"] = _rep_cross_check(r, Xa, rep)
+                entry["rep_check"] = _rep_cross_check(r, Xa, rep, memo)
                 if not entry["rep_check"]["consistent"]:
                     consistent = False
         spec_entries.append(entry)
@@ -781,22 +782,48 @@ def _sgnstr(signs: tuple[int, ...]) -> str:
     return "".join("+" if s > 0 else "-" for s in signs) or "(none)"
 
 
-def _rep_cross_check(result, Xa, rep) -> dict:
+def _monomial_matrix(mono, rep, memo: dict):
+    """rho(mono) for a reduced PBW monomial mono != (): each suffix that the
+    memo lacks is one generator times the next shorter suffix, so no matrix
+    is formed twice and none is multiplied by the identity."""
+    chain = []
+    while mono and mono not in memo:
+        chain.append(mono)
+        (pos, e), rest = mono[0], mono[1:]
+        mono = ((pos, e - 1),) + rest if e > 1 else rest
+    M = memo.get(mono)
+    for mono in reversed(chain):
+        G = rep.generators[mono[0][0]]
+        M = memo[mono] = G if M is None else rep.matmul(G, M)
+    return M
+
+
+def _rep_cross_check(result, Xa, rep, memo: dict | None = None) -> dict:
     """Independent matrix-side commutator per assignment, with Xa the matrix
-    of x_alpha: rho(element) and rho(residue) are evaluated separately, and
-    the symbolic commutator is the residue that solve_signs kept (zero when
-    commuting).  The two sides must agree; solved assignments must give the
+    of x_alpha: rho(element) and rho(residue) are sums over their reduced
+    monomials, and the symbolic commutator is the residue that solve_signs
+    kept (zero when commuting).  memo maps reduced monomials to their
+    matrices; verification_report shares one across a module, so each is
+    formed once.  The two sides must agree; solved assignments must give the
     zero matrix, and nonzero residues must either evaluate nonzero or carry a
     nonzero homogeneous weight."""
-    from .redenv import evaluate
+    from .redenv import reduce
+
+    memo = {} if memo is None else memo
+
+    def rho(u):
+        total = 0 * Xa
+        for mono, c in reduce(u, rep.chi).terms.items():
+            total = total + c * (_monomial_matrix(mono, rep, memo) if mono else rep.identity())
+        total.data %= rep.p
+        return total
 
     checked = []
     ok = True
     for a in result.assignments:
-        A = evaluate(a.element, rep)
+        A = rho(a.element)
         mat_comm = (rep.matmul(Xa, A) - rep.matmul(A, Xa)).tocsr()
-        sym = a.residue if a.residue is not None else rep.algebra.enveloping().zero()
-        sym_mat = evaluate(sym, rep)
+        sym_mat = rho(a.residue) if a.residue is not None else 0 * Xa
         agree = rep.mats_equal(mat_comm, sym_mat)
         entry = {"signs": _sgnstr(a.signs), "homomorphism": agree}
         if a.commutes:

@@ -4,10 +4,11 @@ and irreducibility/invertibility testing.
 A baby Verma module is induced from the one-dimensional Borel module of
 weight lambda: its basis is the set of restricted monomials in the m
 negative root vectors applied to the highest-weight line v (p^m of them,
-ordered lexicographically by exponent tuple).  A generator acts by
-straightening its left multiplication on these module vectors, in code
-separate from pbw's straightening in U(L), so evaluating PBW normal forms
-on the matrices checks one against the other.
+ordered lexicographically by exponent tuple).  The columns whose first
+factor is f_i0^e are one contiguous block, and a generator's matrix is built
+block by block from the block before it (one sweep of numpy sorts and sums
+per block), in code separate from pbw's straightening in U(L), so
+evaluating PBW normal forms on the matrices checks one against the other.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ class IncompatibleWeight(ValueError):
         self.coroot = coroot
 
 
-# largest p^m that baby_verma builds: B2 at p = 13 (28561, 136 MB peak) and B3
-# at p = 3 (19683, 175 MB) fit; B3 at p = 5 (5^9) or 7 (7^9) would exhaust memory
+# largest p^m that baby_verma builds: B2 at p = 13 (28561, 82 MB peak RSS) and
+# B3 at p = 3 (19683, 105 MB) fit; B3 at p = 5 (5^9) or 7 (7^9) would exhaust memory
 MAX_MODULE_DIM = 2**15
 
 # largest module that is_irreducible tests: it holds d x d int64 arrays (the
@@ -153,18 +154,37 @@ class MatrixRep:
         return self.is_zero_matrix((A - B).tocsr())
 
 
+def _merge(cols: np.ndarray, rows: np.ndarray, vals: np.ndarray, dim: int, p: int):
+    """Sum the entries at equal (col, row) mod p and drop the zeros: the
+    entries of a sparse matrix as (cols, rows, vals), sorted by column, then row."""
+    key = cols * dim + rows
+    order = key.argsort(kind="stable")
+    key = key[order]
+    first = np.concatenate(([True], key[1:] != key[:-1]))[: key.size].nonzero()[0]
+    sums = np.add.reduceat(vals[order], first) % p
+    kept = sums != 0
+    key = key[first[kept]]
+    return key // dim, key % dim, sums[kept]
+
+
 def baby_verma(L: LieAlgebra, chi: Character, lam: dict[int, int]) -> MatrixRep:
     """Induce from a one-dimensional Borel module of weight lam.
 
     lam maps simple-coroot indices (1..l) to F_p values and must satisfy
     lam(h)^p - lam(h) = chi(h)^p on every simple coroot.
 
-    Column f^a v of rho(x_g), with f_i0^e0 the first factor of f^a, is
-    straightened on module vectors and memoized per (g, column): x_g v is
-    f_g v, lam(h) v or 0; x_g f^a v = f_g f^a v if g < i0; f_i0 raises e0,
-    with f^p = chi(f)^p; otherwise x_g f_i0^e0 R v = f_i0 (x_g f_i0^(e0-1) R v)
-    + [x_g, f_i0] f_i0^(e0-1) R v.  Filling the columns in increasing order
-    keeps the recursion about 3 frames deep (B2 at p = 7 and 11, B3 at p = 3).
+    The columns f^a v whose first factor is f_i0^e form the block
+    e w_i0 + [0, w_i0), and x_g f_i0^e R v = f_i0 (x_g f_i0^(e-1) R v)
+    + [x_g, f_i0] f_i0^(e-1) R v, so for g > i0 a whole block of rho(x_g) is
+    F_i0 times block e-1 of rho(x_g), plus block e-1 of each rho(x_k) with
+    [x_g, f_i0] = sum b_k x_k.  The other columns are read off: x_g f^a v =
+    f_g f^a v for g < i0, f_i0 raises e with f^p = chi(f)^p, x_g v is 0 for
+    a positive root vector, and a coroot is the diagonal lam(h) + sum a_j c_j
+    with [h, f_j] = c_j f_j.  The negative root vectors are swept in basis
+    order (each bracket [f_g, f_i0] is a lower one), then the positive root
+    vectors all together, one block at a time.  Nothing recurses, and
+    nothing is straightened in U(L).  Products stay below p^2 and merge keys
+    below n dim^2, both far inside int64 while dim <= MAX_MODULE_DIM.
     """
     if not L.p:
         raise NotModP("baby Verma modules require positive characteristic")
@@ -186,51 +206,66 @@ def baby_verma(L: LieAlgebra, chi: Character, lam: dict[int, int]) -> MatrixRep:
     # the basis order puts the m negative root vectors first, so f_j is x_j;
     # column f^a v has index sum a_j w_j (lexicographic in the exponent tuple)
     w = [p ** (m - 1 - j) for j in range(m)]
-    lead = [m]  # i0 of each column, so its first factor is f_i0^(col // w[i0]); v has none
-    for j in reversed(range(m)):
-        lead += [j] * ((p - 1) * w[j])
-    chi_p = [pow(chi.value(j), p, p) for j in range(m)]
-    lam_at = {L.hpos(i): lam[i] for i in range(1, L.l + 1) if lam[i]}
-    memo: list[list[dict[int, int] | None]] = [[None] * dim for _ in range(n)]
+    cols = np.arange(dim, dtype=np.int64)
+    done: dict[int, tuple] = {}  # generator -> (column pointers, cols, rows, vals)
 
-    def act(g: int, col: int) -> dict[int, int]:
-        res = memo[g][col]
-        if res is not None:
-            return res
-        i0 = lead[col]
-        if g < i0:
-            res = {col + w[g]: 1}
-        elif col == 0:  # a coroot or a positive root vector on v
-            res = {0: lam_at[g]} if g in lam_at else {}
-        elif g == i0 and col // w[g] < p - 1:
-            res = {col + w[g]: 1}
-        elif g == i0:  # f^p = chi(f)^p
-            res = {col - (p - 1) * w[g]: chi_p[g]} if chi_p[g] else {}
-        else:
-            rest = col - w[i0]
-            acc: dict[int, int] = {}
-            for row, c in act(g, rest).items():
-                for row2, c2 in act(i0, row).items():
-                    acc[row2] = acc.get(row2, 0) + c * c2
-            for k, bk in L.table_entry(g, i0).items():
-                for row2, c2 in act(k, rest).items():
-                    acc[row2] = acc.get(row2, 0) + bk * c2
-            res = {row: c % p for row, c in acc.items() if c % p}
-        memo[g][col] = res
-        return res
+    def finish(g: int, c: np.ndarray, r: np.ndarray, v: np.ndarray) -> None:
+        c, r, v = _merge(c, r, v, dim, p)
+        done[g] = (np.searchsorted(c, np.arange(dim + 1)), c, r, v)
 
-    rows, cols, data = ([[] for _ in range(n)] for _ in range(3))
-    for col in range(dim):
-        for g in range(n):
-            entries = act(g, col)
-            rows[g] += entries
-            cols[g] += [col] * len(entries)
-            data[g] += entries.values()
+    def sweep(gens: list[int], cur: tuple, i0: int) -> tuple:
+        """Extend rho(x_g), g in gens, from the columns [0, w_i0) in cur to
+        [0, p w_i0); cur stacks the generators at column offsets s * dim."""
+        W = w[i0]
+        slot = {g: s for s, g in enumerate(gens)}
+        ptr, _, frows, fvals = done[i0]
+        blocks = [cur]
+        for e in range(1, p):
+            c, r, v = blocks[-1]
+            start = ptr[r]
+            cnt = ptr[r + 1] - start
+            idx = np.repeat(np.arange(r.size), cnt)
+            sel = np.repeat(start - np.cumsum(cnt) + cnt, cnt) + np.arange(idx.size)
+            parts = [(c[idx] + W, frows[sel], v[idx] * fvals[sel] % p)]
+            for g, s in slot.items():
+                for k, b in L.table_entry(g, i0).items():
+                    if k in slot:
+                        mask = c // dim == slot[k]
+                        kc, kr, kv = c[mask] % dim, r[mask], v[mask]
+                    else:
+                        kptr, kc, kr, kv = done[k]
+                        lo, hi = kptr[(e - 1) * W], kptr[e * W]
+                        kc, kr, kv = kc[lo:hi], kr[lo:hi], kv[lo:hi]
+                    parts.append((kc + (s * dim + W), kr, kv * b % p))
+            blocks.append(_merge(*map(np.concatenate, zip(*parts)), dim, p))
+        return tuple(map(np.concatenate, zip(*blocks)))
+
+    for g in range(m):
+        # on the columns [0, p w_g), with no factor before f_g, f_g raises
+        # the exponent of f_g, and f_g^p = chi(f_g)^p
+        chi_p = pow(chi.value(g), p, p)
+        low = cols[: (p - 1) * w[g]]
+        top = cols[(p - 1) * w[g] : p * w[g]] if chi_p else cols[:0]
+        cur = (np.r_[low, top], np.r_[low + w[g], top - (p - 1) * w[g]],
+               np.r_[np.ones_like(low), np.full_like(top, chi_p)])
+        for i0 in reversed(range(g)):
+            cur = sweep([g], cur, i0)
+        finish(g, *cur)
+    for i in range(1, L.l + 1):
+        h = L.hpos(i)
+        diag = lam[i] + sum(L.table_entry(h, j).get(j, 0) * (cols // w[j] % p) for j in range(m))
+        finish(h, cols, cols, diag % p)
+    positives = list(range(m + L.l, n))
+    cur = (cols[:0],) * 3
+    for i0 in reversed(range(m)):
+        cur = sweep(positives, cur, i0)
+    for s, g in enumerate(positives):
+        mask = cur[0] // dim == s
+        finish(g, cur[0][mask] % dim, cur[1][mask], cur[2][mask])
+
     generators = {
-        g: sp.csr_matrix((np.array(data[g], dtype=np.int64), (rows[g], cols[g])), shape=(dim, dim))
-        for g in range(n)
+        g: sp.csr_matrix((v, (r, c)), shape=(dim, dim)) for g, (_, c, r, v) in done.items()
     }
-    memo.clear()  # act refers to itself, so it would hold the memo until gc
     return MatrixRep(
         algebra=L,
         p=p,

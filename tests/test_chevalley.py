@@ -109,6 +109,17 @@ def test_structure_constant_magnitudes(family, rank):
         assert abs(v) in (1, 2)
 
 
+def test_structure_constants_shared_per_root_system():
+    from modlie.chevalley import _structure_constants
+
+    # equal root systems built apart share one table at every p
+    algebras = [build_chevalley(build_root_system("B", 3), p) for p in (0, 7, 11)]
+    assert all(L.N is algebras[0].N for L in algebras)
+    assert dict(algebras[0].N) == _structure_constants.__wrapped__(algebras[0].rs)
+    with pytest.raises(TypeError):
+        algebras[0].N[next(iter(algebras[0].N))] = 0
+
+
 @pytest.mark.parametrize("family,rank", [("B", 2), ("B", 3)])
 def test_ad_nilpotency_degree_four(family, rank):
     L = build_chevalley(build_root_system(family, rank), 7)

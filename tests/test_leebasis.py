@@ -534,3 +534,96 @@ def test_fallback_is_a_square_or_a_cube():
                         assert all(e.reason for e in _bank(L, case)[-spec.target])
     assert cubes == {(2, "I", 3, "+e2"), (2, "I", 3, "-e2")}
     assert impossible == {(2, "I", p, t) for p in (0, 5, 7, 11, 13) for t in ("+e2", "-e2")}
+
+
+def _clean_and_corrupted(L, corrupt):
+    doc = verification_report(L, "I", seed=0)
+    assert doc["summary"]["oracle_consistent"]
+    corrupt()
+    bad = verification_report(L, "I", seed=0)
+    pairs = [
+        (a, b)
+        for s, t in zip(doc["specs"], bad["specs"])
+        if "rep_check" in s
+        for a, b in zip(s["rep_check"]["assignments"], t["rep_check"]["assignments"])
+    ]
+    return bad, pairs
+
+
+def test_rep_oracle_fails_on_a_corrupted_residue(monkeypatch, b2_p7):
+    # doubling one residue whose matrix is nonzero breaks that assignment's
+    # homomorphism check, and only that one
+    import modlie.leebasis as leebasis
+
+    solve = leebasis.solve_signs
+
+    def corrupt():
+        def doubled(spec, L, c_value=0):
+            res = solve(spec, L, c_value)
+            if spec.target == E2B2 - E1B2 and c_value == 0:
+                res.assignments[0].residue = 2 * res.assignments[0].residue
+            return res
+
+        monkeypatch.setattr(leebasis, "solve_signs", doubled)
+
+    bad, pairs = _clean_and_corrupted(b2_p7, corrupt)
+    assert not bad["summary"]["oracle_consistent"]
+    changed = [(a, b) for a, b in pairs if a != b]
+    assert len(changed) == 1
+    (a, b), = changed
+    assert a["homomorphism"] and a["matrix_nonzero"] and not b["homomorphism"]
+
+
+def test_rep_oracle_fails_on_a_corrupted_matrix(monkeypatch, b2_p7):
+    # one wrong entry of rho(x_alpha) breaks the homomorphism check
+    import modlie.redenv as redenv
+
+    evaluate = redenv.evaluate
+
+    def corrupt():
+        def corrupted(u, rep):
+            M = evaluate(u, rep).tolil()
+            M[0, 1] = (M[0, 1] + 1) % rep.p
+            return M.tocsr()
+
+        monkeypatch.setattr(redenv, "evaluate", corrupted)
+
+    bad, pairs = _clean_and_corrupted(b2_p7, corrupt)
+    assert not bad["summary"]["oracle_consistent"]
+    assert all(a["homomorphism"] for a, _ in pairs)
+    assert not all(b["homomorphism"] for _, b in pairs)
+
+
+def test_rep_cross_check_forms_each_monomial_once(monkeypatch, b2_p7):
+    # a report shares one memo: every reduced monomial, and every suffix of
+    # one, is one product of a generator and a shorter suffix, never with I
+    import modlie.leebasis as leebasis
+
+    requested, memos, products = [], set(), []
+    monomial_matrix, matmul = leebasis._monomial_matrix, MatrixRep.matmul
+
+    def record(mono, rep, memo):
+        requested.append(mono)
+        memos.add(id(memo))
+        return monomial_matrix(mono, rep, memo)
+
+    def count(self, A, B):
+        identity = self.identity()
+        assert all(M.shape != identity.shape or (M != identity).nnz for M in (A, B))
+        products.append((A, B))
+        return matmul(self, A, B)
+
+    monkeypatch.setattr(leebasis, "_monomial_matrix", record)
+    monkeypatch.setattr(MatrixRep, "matmul", count)
+    doc = verification_report(b2_p7, "I", seed=0)
+    suffixes = set()
+    for mono in requested:
+        while mono and mono not in suffixes:
+            suffixes.add(mono)
+            (pos, e), rest = mono[0], mono[1:]
+            mono = ((pos, e - 1),) + rest if e > 1 else rest
+    assignments = sum(len(s["rep_check"]["assignments"]) for s in doc["specs"] if "rep_check" in s)
+    assert len(memos) == 1 and len(requested) > len(set(requested))
+    # plus Xa rho(element) and rho(element) Xa per assignment
+    formed = sum(1 for mono in suffixes if sum(e for _, e in mono) > 1)
+    assert len(products) == formed + 2 * assignments

@@ -738,23 +738,37 @@ def test_baby_verma_does_not_straighten_in_enveloping_algebra(monkeypatch):
 def test_baby_verma_recursion_stays_shallow():
     import sys
 
-    L, character = pinned_module("B", 2, 7, {(-1, 0): 1})
-    depth = [0, 0]
-
-    def count(frame, event, arg):
-        if frame.f_code.co_name == "act" and frame.f_globals["__name__"] == "modlie.redenv":
-            if event == "call":
-                depth[0] += 1
-                depth[1] = max(depth)
-            elif event == "return":
-                depth[0] -= 1
-
-    sys.setprofile(count)
+    # the largest modules build with only 50 frames to spare above the caller
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
     try:
-        baby_verma(L, character, {})
+        for family, rank, p in (("B", 2, 11), ("B", 3, 3)):
+            L, character = pinned_module(family, rank, p, {})
+            assert baby_verma(L, character, {}).dim == p**L.m
     finally:
-        sys.setprofile(None)
-    assert 1 <= depth[1] <= 4
+        sys.setrecursionlimit(old)
+
+
+# export_text SHA-256 of the largest modules that the block sweep replaced
+# the module recursion on, recorded with the recursion
+LARGE_MODULES = [
+    (("B", 3, 3), {(-1, 0, 0): 1}, {}, "2f0f765afb1f60dcfe41f4faa237f8a5927e35c4d0c54f9367d0318ee6b75225"),
+    (("B", 3, 3), {}, {1: 1, 2: 2}, "f67e1c13f9d1ce9116cda94eb32d6f90a053da630964b8bab39596639b85505c"),
+    (("B", 2, 13), {(-1, 0): 1}, {}, "440377da8dadc2c0aab4fc9546b7a36ac69e724acdc62947d6edb766559bb82c"),
+]
+
+
+@pytest.mark.parametrize("algebra, chi, lam, digest", LARGE_MODULES)
+def test_large_baby_verma_bytes_pinned(algebra, chi, lam, digest):
+    import hashlib
+
+    from modlie.redenv import export_text
+
+    rep = baby_verma(*pinned_module(*algebra, chi), lam)
+    assert hashlib.sha256(export_text(rep).encode()).hexdigest() == digest
 
 
 def test_baby_verma_size_limit(monkeypatch):
