@@ -33,6 +33,7 @@ from typing import NamedTuple
 from .chevalley import LieAlgebra, LieElement
 from .expr import Add, Const, Expr, Mul, Num, Pow, SignSlot, XAtom, HAtom, print_expr, to_ue
 from .pbw import UEElement, commutator, multiply, to_string, weight
+from .redenv import monomial_matrix as _monomial_matrix
 from .roots import Root, cartan_integer
 
 
@@ -108,20 +109,27 @@ def _X(r: Root) -> XAtom:
     return XAtom(r.coords)
 
 
-def _nslots(*exprs: Expr | None) -> int:
+def _free(*exprs: Expr | None) -> set:
+    """The sign-slot indices, and "c" if a Const occurs, in the expressions."""
     found = set()
     stack = list(exprs)
     while stack:
         node = stack.pop()
         if isinstance(node, SignSlot):
             found.add(node.index)
+        elif isinstance(node, Const):
+            found.add("c")
         elif isinstance(node, Add):
             stack += node.items
         elif isinstance(node, Mul):
             stack += node.factors
         elif isinstance(node, Pow):
             stack.append(node.base)
-    return len(found)
+    return found
+
+
+def _nslots(*exprs: Expr | None) -> int:
+    return len(_free(*exprs) - {"c"})
 
 
 def _pairs(*gammas: Root) -> Add:
@@ -279,6 +287,56 @@ class Assignment:
         return len(set(self.signs)) <= 1
 
 
+@dataclass(frozen=True)
+class _Summands:
+    """A template as sum_k coef_k * piece_k with coef_k 1, c or a sign: each
+    piece expanded once under the prefactor, beside its commutator with
+    x_alpha, so every assignment is an exact linear combination of them."""
+
+    parts: tuple[tuple[int | str | None, UEElement, UEElement], ...]  # (coef, piece, [x_alpha, piece])
+    sign_slots: int
+
+    def combine(self, signs: tuple[int, ...], c_value: int) -> tuple[UEElement, UEElement]:
+        """(element, [x_alpha, element]) with these signs and c = c_value."""
+        coef = {None: 1, "c": c_value, **dict(enumerate(signs, 1))}
+        element: dict = {}
+        comm: dict = {}
+        for key, piece, piece_comm in self.parts:
+            k = coef[key]
+            for out, u in ((element, piece), (comm, piece_comm)):
+                for m, c in u.terms.items():
+                    out[m] = out.get(m, 0) + k * c
+        uea = self.parts[0][1].uea
+        return UEElement(uea, element), UEElement(uea, comm)
+
+    def solutions(self, c_value: int) -> list[Assignment]:
+        out = []
+        for signs in itertools.product((1, -1), repeat=self.sign_slots):
+            u, comm = self.combine(signs, c_value)
+            out.append(Assignment(signs=signs, commutes=comm.is_zero, residue=None if comm.is_zero else comm, element=u))
+        return out
+
+
+def _summands(template, L: LieAlgebra, xa: UEElement) -> _Summands:
+    """Split the template's body into the summands free of signs and c, the
+    one with the factor c and one per sign slot, and expand each once."""
+    pieces: dict = {}
+    for item in template.body.items if isinstance(template.body, Add) else (template.body,):
+        factors = item.factors if isinstance(item, Mul) else (item,)
+        keys = [f.index if isinstance(f, SignSlot) else "c" for f in factors if isinstance(f, (SignSlot, Const))]
+        rest = tuple(f for f in factors if not isinstance(f, (SignSlot, Const)))
+        if len(keys) > 1 or _free(*rest, template.prefactor):
+            raise ValueError(f"template {print_expr(template.expression())} is not linear in its signs and c")
+        pieces.setdefault(keys[0] if keys else None, []).append(rest[0] if len(rest) == 1 else Mul(rest))
+    uea = L.enveloping()
+    parts = []
+    for key, items in pieces.items():
+        body = items[0] if len(items) == 1 else Add(tuple(items))
+        u = to_ue(body if template.prefactor is None else Mul((template.prefactor, body)), uea)
+        parts.append((key, u, commutator(xa, u)))
+    return _Summands(tuple(parts), template.sign_slots)
+
+
 @dataclass
 class SolveResult:
     spec: ABSpec
@@ -286,6 +344,9 @@ class SolveResult:
     assignments: list[Assignment] = field(default_factory=list)
     status: str = "impossible"  # "solved" | "nosolution" | "impossible"
     variant_solutions: dict = field(default_factory=dict)
+    # the expanded template and its variants, for solving at another c
+    summands: _Summands | None = field(default=None, repr=False)
+    variant_summands: dict = field(default_factory=dict, repr=False)
 
     @property
     def solved(self) -> list[tuple[int, ...]]:
@@ -302,6 +363,19 @@ class SolveResult:
             signs = self.solved[0]
         return expand_spec(self.spec, L, signs, c_value)
 
+    def at_c(self, c_value: int) -> "SolveResult":
+        """The same template solved with c = c_value, from the kept summands
+        (no expansion in U(L))."""
+        res = SolveResult(self.spec, self.alpha, summands=self.summands, variant_summands=self.variant_summands)
+        if self.summands is None:
+            return res
+        res.assignments = self.summands.solutions(c_value)
+        res.status = "solved" if res.solved else "nosolution"
+        res.variant_solutions = {
+            label: [a.signs for a in v.solutions(c_value) if a.commutes] for label, v in self.variant_summands.items()
+        }
+        return res
+
 
 def expand_spec(spec, L: LieAlgebra, signs: tuple[int, ...] = (), c_value: int = 0) -> UEElement:
     """The element of U(L) of a template (an ABSpec or a TemplateVariant)
@@ -309,17 +383,13 @@ def expand_spec(spec, L: LieAlgebra, signs: tuple[int, ...] = (), c_value: int =
     return to_ue(spec.expression(), L.enveloping(), signs=dict(enumerate(signs, 1)), c_value=c_value)
 
 
-def _sign_commutators(template, L: LieAlgebra, xa: UEElement, c_value: int):
-    """(signs, element, [x_alpha, element]) for every sign assignment."""
-    for signs in itertools.product((1, -1), repeat=template.sign_slots):
-        u = expand_spec(template, L, signs, c_value)
-        yield signs, u, commutator(xa, u)
-
-
 def solve_signs(spec: ABSpec, L: LieAlgebra, c_value: int = 0) -> SolveResult:
     """Enumerate all sign assignments of a template and keep the commuting
     ones; c is set to `c_value` (a central scalar, so the verdict must not
-    depend on it -- re-run with another value to confirm)."""
+    depend on it -- `at_c` re-solves at another value to confirm).  The
+    template is linear in its signs and in c, so each summand is expanded
+    and commuted with x_alpha once, and every assignment, variant and value
+    of c is a linear combination of those pieces."""
     if spec.case in ("I", "II"):
         alpha = case_alpha(L, spec.case)
     else:  # sl2 pair: commute against the positive root of the pair
@@ -328,16 +398,9 @@ def solve_signs(spec: ABSpec, L: LieAlgebra, c_value: int = 0) -> SolveResult:
     if spec.status != "ok":
         return res
     xa = L.enveloping().from_lie(L.x(alpha))
-    for signs, u, comm in _sign_commutators(spec, L, xa, c_value):
-        res.assignments.append(
-            Assignment(signs=signs, commutes=comm.is_zero, residue=None if comm.is_zero else comm, element=u)
-        )
-    res.status = "solved" if any(a.commutes for a in res.assignments) else "nosolution"
-    for variant in spec.variants:
-        res.variant_solutions[variant.label] = [
-            signs for signs, _, comm in _sign_commutators(variant, L, xa, c_value) if comm.is_zero
-        ]
-    return res
+    res.summands = _summands(spec, L, xa)
+    res.variant_summands = {v.label: _summands(v, L, xa) for v in spec.variants}
+    return res.at_c(c_value)
 
 
 # -- Cartan coefficient families ------------------------------------------
@@ -688,8 +751,8 @@ def verification_report(
     specs = _build_case(L, case)
     results = [solve_signs(s, L) for s in specs]
     stability = []
-    for s, r in zip(specs, results):
-        r2 = solve_signs(s, L, c_value=1)
+    for r in results:
+        r2 = r.at_c(1)
         stability.append(r.solved == r2.solved and r.status == r2.status)
 
     rep = Xa = None
@@ -782,22 +845,6 @@ def _sgnstr(signs: tuple[int, ...]) -> str:
     return "".join("+" if s > 0 else "-" for s in signs) or "(none)"
 
 
-def _monomial_matrix(mono, rep, memo: dict):
-    """rho(mono) for a reduced PBW monomial mono != (): each suffix that the
-    memo lacks is one generator times the next shorter suffix, so no matrix
-    is formed twice and none is multiplied by the identity."""
-    chain = []
-    while mono and mono not in memo:
-        chain.append(mono)
-        (pos, e), rest = mono[0], mono[1:]
-        mono = ((pos, e - 1),) + rest if e > 1 else rest
-    M = memo.get(mono)
-    for mono in reversed(chain):
-        G = rep.generators[mono[0][0]]
-        M = memo[mono] = G if M is None else rep.matmul(G, M)
-    return M
-
-
 def _rep_cross_check(result, Xa, rep, memo: dict | None = None) -> dict:
     """Independent matrix-side commutator per assignment, with Xa the matrix
     of x_alpha: rho(element) and rho(residue) are sums over their reduced
@@ -812,6 +859,9 @@ def _rep_cross_check(result, Xa, rep, memo: dict | None = None) -> dict:
     memo = {} if memo is None else memo
 
     def rho(u):
+        # summed by sparse additions, not by redenv.evaluate's one COO build:
+        # these are long sums of overlapping matrices, where the COO build
+        # measured slower (two warm B2 p = 7 reports, 0.15 against 0.20 s)
         total = 0 * Xa
         for mono, c in reduce(u, rep.chi).terms.items():
             total = total + c * (_monomial_matrix(mono, rep, memo) if mono else rep.identity())

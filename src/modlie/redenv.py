@@ -46,13 +46,15 @@ MAX_MODULE_DIM = 2**15
 
 # largest module that is_irreducible tests: it holds d x d int64 arrays (the
 # Krylov matrix, theta, theta - c and an elimination copy), 134 MB each at
-# 2^12 and 1.7 GB at B2 p = 11 (d = 11^4)
+# 2^12 and 1.7 GB at B2 p = 11 (d = 11^4); also the largest strong component
+# whose block invertible_in_rep makes dense
 MAX_DENSE_DIM = 2**12
 
 
 class ModuleTooLarge(ValueError):
     """The module has more than MAX_MODULE_DIM dimensions (baby_verma) or
-    more than MAX_DENSE_DIM (is_irreducible)."""
+    more than MAX_DENSE_DIM (is_irreducible), or rho(u) has a strong
+    component of more than MAX_DENSE_DIM (invertible_in_rep)."""
 
 
 @dataclass
@@ -282,19 +284,19 @@ def export_text(rep: MatrixRep) -> str:
 
     Header line ``dim <dim> p <p>``, then one line per nonzero entry:
     ``<generator label> <row> <col> <value>``, rows and columns 0-based,
-    generators in basis order, entries in CSR order.
+    generators in basis order, entries in CSR order (by row, then column).
     """
     lines = [f"dim {rep.dim} p {rep.p}"]
     for b in rep.algebra.basis:
-        M = rep.generators[b.position].tocoo()
-        order = sorted(zip(M.row, M.col, M.data))
-        for r, c, v in order:
-            lines.append(f"{b.label} {int(r)} {int(c)} {int(v) % rep.p}")
+        M = rep.generators[b.position].sorted_indices()
+        rows = np.repeat(np.arange(rep.dim), np.diff(M.indptr)).tolist()
+        lines += [f"{b.label} {r} {c} {v}" for r, c, v in zip(rows, M.indices.tolist(), (M.data % rep.p).tolist())]
     return "\n".join(lines) + "\n"
 
 
 def apply(u: UEElement, rep: MatrixRep, X):
-    """rho(u) X mod p for X a vector, a dense block or a sparse matrix.
+    """rho(u) X mod p for X a vector, a dense block or a sparse matrix (then
+    a canonical CSR matrix).
 
     Each monomial of reduce(u, rep.chi) applies its generator factors to X
     from right to left, so no power of a generator is ever formed."""
@@ -318,13 +320,49 @@ def apply(u: UEElement, rep: MatrixRep, X):
             for _ in range(e):
                 Y = mod(rep.generators[pos] @ Y)
         total = mod(total + c * Y)
+    if sp.issparse(total):
+        total.sum_duplicates()  # sorts the column indices of every row
     return total
+
+
+def monomial_matrix(mono: Mono, rep: MatrixRep, memo: dict) -> sp.csr_matrix:
+    """rho(mono) for a reduced PBW monomial mono != (): each suffix that the
+    memo lacks is one generator times the next shorter suffix, so no matrix
+    is formed twice and none is multiplied by the identity."""
+    chain = []
+    while mono and mono not in memo:
+        chain.append(mono)
+        (pos, e), rest = mono[0], mono[1:]
+        mono = ((pos, e - 1),) + rest if e > 1 else rest
+    M = memo.get(mono)
+    for mono in reversed(chain):
+        G = rep.generators[mono[0][0]]
+        M = memo[mono] = G if M is None else rep.matmul(G, M)
+    return M
 
 
 def evaluate(u: UEElement, rep: MatrixRep) -> sp.csr_matrix:
     """Image of u under the algebra homomorphism extending the generator
-    matrices, as the sparse matrix apply(u, rep, I)."""
-    return apply(u, rep, rep.identity())
+    matrices: the sum of c rho(m) over the monomials c m of reduce(u,
+    rep.chi), with each rho(m) from monomial_matrix and one memo per call, so
+    monomials that share a suffix share its product.  The terms are summed
+    by one COO build, which also sorts the column indices of every row: the
+    same canonical CSR matrix as apply(u, rep, I)."""
+    if u.uea.lie is not rep.algebra:
+        raise MixedAlgebras("element and representation over different algebras")
+    p, dim = rep.p, rep.dim
+    check_int64_sum(p, dim)  # each product sums dim residue products
+    memo: dict = {}
+    rows, cols, vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int64)]
+    for mono, c in reduce(u, rep.chi).terms.items():
+        M = monomial_matrix(mono, rep, memo) if mono else rep.identity()
+        rows.append(np.repeat(np.arange(dim), np.diff(M.indptr)))
+        cols.append(M.indices)
+        vals.append(c * M.data % p)  # each term below p, so the sums stay far inside int64
+    total = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(dim, dim))
+    total.data %= p
+    total.eliminate_zeros()
+    return total
 
 
 def invertible_in_rep(u: UEElement, rep: MatrixRep) -> bool:
@@ -333,7 +371,9 @@ def invertible_in_rep(u: UEElement, rep: MatrixRep) -> bool:
     Ordering the strong components of rho(u)'s nonzero pattern topologically
     is a symmetric permutation that makes rho(u) block upper triangular (Tarjan
     1972), so rho(u) is invertible iff every diagonal block is: 1x1 blocks
-    are read off the diagonal, larger ones get an exact rank."""
+    are read off the diagonal, larger ones get an exact dense rank; a
+    component of more than MAX_DENSE_DIM raises ModuleTooLarge before any
+    block is made dense."""
     # imported here, not at the top: csgraph adds about 11 MB of RSS to
     # every process that loads redenv, most of which never test invertibility
     from scipy.sparse.csgraph import connected_components
@@ -344,6 +384,10 @@ def invertible_in_rep(u: UEElement, rep: MatrixRep) -> bool:
     singletons = sizes[labels] == 1
     if not np.all(A.diagonal()[singletons] % rep.p):
         return False
+    if sizes.max() > MAX_DENSE_DIM:
+        raise ModuleTooLarge(
+            f"invertibility test on a strong component of dimension {sizes.max()} exceeds the limit of {MAX_DENSE_DIM}"
+        )
     for comp in np.nonzero(sizes > 1)[0]:
         idx = np.nonzero(labels == comp)[0]
         if rank_mod_p(A[idx][:, idx].toarray(), rep.p) != idx.size:

@@ -1,3 +1,6 @@
+import dataclasses
+import functools
+import itertools
 import random
 
 import numpy as np
@@ -5,6 +8,7 @@ import pytest
 import scipy.sparse as sp
 
 from modlie.chevalley import bracket, build_chevalley
+from modlie.expr import Add, Const, Mul, SignSlot, XAtom
 from modlie.leebasis import (
     ArityMismatch,
     ExhaustedField,
@@ -627,3 +631,79 @@ def test_rep_cross_check_forms_each_monomial_once(monkeypatch, b2_p7):
     # plus Xa rho(element) and rho(element) Xa per assignment
     formed = sum(1 for mono in suffixes if sum(e for _, e in mono) > 1)
     assert len(products) == formed + 2 * assignments
+
+
+# -- sign solving by linearity ----------------------------------------------------
+
+
+@functools.cache
+def _algebra_b(rank, p):
+    return build_chevalley(build_root_system("B", rank), p)
+
+
+@pytest.mark.parametrize("c_value", [0, 1])
+@pytest.mark.parametrize("p", [7, 11])
+@pytest.mark.parametrize("case", ["I", "II"])
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_solve_signs_matches_brute_force_expansion(rank, case, p, c_value):
+    # every assignment expanded and commuted with x_alpha on its own, as
+    # before the solve combined expanded summands; at_c(c) from a c = 0 solve
+    # is the same result
+    L = _algebra_b(rank, p)
+    xa = L.enveloping().from_lie(L.x(case_alpha(L, case)))
+
+    def brute(template):
+        for signs in itertools.product((1, -1), repeat=template.sign_slots):
+            u = expand_spec(template, L, signs, c_value)
+            yield signs, u, commutator(xa, u)
+
+    for spec in (build_case_I if case == "I" else build_case_II)(L):
+        res = solve_signs(spec, L, c_value=c_value)
+        again = solve_signs(spec, L).at_c(c_value)
+        for r in (res, again):
+            if spec.status != "ok":
+                assert (r.status, r.assignments, r.variant_solutions) == ("impossible", [], {})
+                continue
+            expected = list(brute(spec))
+            assert [a.signs for a in r.assignments] == [signs for signs, _, _ in expected]
+            for a, (signs, u, comm) in zip(r.assignments, expected):
+                assert a.commutes == comm.is_zero
+                assert a.element.terms == u.terms
+                assert (a.residue is None) if comm.is_zero else (a.residue.terms == comm.terms)
+            assert r.status == ("solved" if any(comm.is_zero for _, _, comm in expected) else "nosolution")
+            assert r.variant_solutions == {
+                v.label: [signs for signs, _, comm in brute(v) if comm.is_zero] for v in spec.variants
+            }
+
+
+def test_solve_signs_expands_each_summand_once(monkeypatch, b3_p7):
+    # one expansion and one commutator per summand kind (free of signs and
+    # c, the c summand, one per sign slot) of the template and each variant,
+    # however many assignments they have; nothing is expanded whole
+    import modlie.leebasis as leebasis
+
+    expanded, commuted = [], []
+    to_ue, commutator_ = leebasis.to_ue, leebasis.commutator
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("solve_signs must not expand a whole template")
+
+    monkeypatch.setattr(leebasis, "expand_spec", forbidden)
+    monkeypatch.setattr(leebasis, "to_ue", lambda *a, **k: expanded.append(a[0]) or to_ue(*a, **k))
+    monkeypatch.setattr(leebasis, "commutator", lambda *a: commuted.append(a) or commutator_(*a))
+    for spec in build_case_I(b3_p7):
+        expanded.clear()
+        commuted.clear()
+        res = solve_signs(spec, b3_p7)
+        templates = [spec, *spec.variants]
+        kinds = sum(t.sign_slots + 2 if isinstance(t.body, Add) else 1 for t in templates)
+        assert len(expanded) == len(commuted) == kinds
+        assert len(res.assignments) == 2**spec.sign_slots
+
+
+def test_solve_signs_refuses_a_template_not_linear_in_its_signs(b2_p7):
+    specs = build_case_II(b2_p7)
+    spec = next(s for s in specs if s.sign_slots == 1)
+    squared = dataclasses.replace(spec, body=Add((Const("c"), Mul((SignSlot(1), SignSlot(1), XAtom((1, 0)))))))
+    with pytest.raises(ValueError, match="not linear in its signs and c"):
+        solve_signs(squared, b2_p7)

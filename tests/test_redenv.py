@@ -8,9 +8,10 @@ from scipy.sparse.csgraph import connected_components
 
 from modlie.chevalley import build_chevalley
 from modlie.linalg import rank_mod_p
-from modlie.pbw import UEElement, multiply
+from modlie.pbw import UEElement, mono_degree, multiply
 from modlie.redenv import (
     Character,
+    MatrixRep,
     _eigenvalues,
     IncompatibleWeight,
     NonStandardCharacter,
@@ -813,3 +814,82 @@ def test_irreducible_size_limit_before_allocating(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(redenv, "MAX_DENSE_DIM", 125)
     assert redenv.is_irreducible(rep).status == "submodule"
+
+
+# -- evaluate by shared suffix products ----------------------------------------
+
+
+def suffix_sharing_element(U, rng, p):
+    """A constant plus products of generator powers in basis order, each with
+    its tail (the product without its first factor) beside it, so that
+    reduced monomials share suffixes; an exponent of p or p + 1 makes reduce
+    rewrite a factor."""
+    u = U.scalar(rng.randrange(p))
+    for _ in range(3):
+        factors = [U.gen(g) ** rng.choice([1, 2, 3, p, p + 1]) for g in sorted(rng.sample(range(U.lie.n), 3))]
+        tail = factors[1] * factors[2]
+        u = u + rng.randrange(1, p) * (factors[0] * tail) + rng.randrange(1, p) * tail
+    return u
+
+
+@pytest.mark.parametrize("family, rank, p", [("A", 1, 7), ("A", 2, 5), ("B", 2, 7)])
+def test_evaluate_is_apply_to_the_identity(monkeypatch, family, rank, p):
+    # the same canonical CSR arrays, with each suffix of a reduced monomial
+    # formed once per call as a generator times a shorter suffix, never with I
+    L = build_chevalley(build_root_system(family, rank), p, allow_small=True)
+    rep = baby_verma(L, Character(L, {L.xpos(-L.rs.base[0]): 1}), {i: 0 for i in range(1, L.l + 1)})
+    U = L.enveloping()
+    rng = random.Random(f"suffix-{family}{rank}-{p}")
+    products = []
+    matmul = MatrixRep.matmul
+
+    def count(self, A, B):
+        identity = self.identity()
+        assert all(M.shape != identity.shape or (M != identity).nnz for M in (A, B))
+        products.append((A, B))
+        return matmul(self, A, B)
+
+    shared = 0
+    for u in [U.zero(), U.one()] + [suffix_sharing_element(U, rng, p) for _ in range(4)]:
+        expected = apply(u, rep, rep.identity())
+        monkeypatch.setattr(MatrixRep, "matmul", count)
+        products.clear()
+        got = evaluate(u, rep)
+        monkeypatch.undo()
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(expected, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert got.has_sorted_indices and got.shape == (rep.dim, rep.dim)
+        suffixes, chains = set(), 0
+        for mono in reduce(u, rep.chi).terms:
+            chains += mono_degree(mono) - 1 if mono else 0
+            while mono and mono not in suffixes:
+                suffixes.add(mono)
+                (pos, e), rest = mono[0], mono[1:]
+                mono = ((pos, e - 1),) + rest if e > 1 else rest
+        assert len(products) == sum(1 for mono in suffixes if mono_degree(mono) > 1)
+        shared += chains - len(products)
+    assert shared > 0  # some monomials reused a suffix formed for another
+
+
+def test_invertible_in_rep_refuses_a_large_component_before_densifying(monkeypatch):
+    import modlie.redenv as redenv
+
+    # chi(f) = 1 makes rho(f) on the 7-dimensional A1 module one 7-cycle: a
+    # single strong component, invertible as a permutation matrix
+    L = build_chevalley(build_root_system("A", 1), 7)
+    rep = baby_verma(L, Character(L, {L.xpos(-E1): 1}), {1: 0})
+    f = L.enveloping().gen(L.xpos(-E1))
+    assert connected_components(evaluate(f, rep), directed=True, connection="strong")[0] == 1
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("no block may be made dense above the limit")
+
+    monkeypatch.setattr(redenv, "MAX_DENSE_DIM", 6)
+    monkeypatch.setattr(redenv, "rank_mod_p", forbidden)
+    monkeypatch.setattr(sp.csr_matrix, "toarray", forbidden)
+    with pytest.raises(redenv.ModuleTooLarge, match=r"dimension 7 exceeds the limit of 6"):
+        invertible_in_rep(f, rep)
+    monkeypatch.undo()
+    monkeypatch.setattr(redenv, "MAX_DENSE_DIM", 7)
+    assert invertible_in_rep(f, rep)
