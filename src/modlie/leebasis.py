@@ -33,6 +33,8 @@ from typing import NamedTuple
 from .chevalley import LieAlgebra, LieElement
 from .expr import Add, Const, Expr, Mul, Num, Pow, SignSlot, XAtom, HAtom, print_expr, to_ue
 from .pbw import UEElement, commutator, multiply, to_string, weight
+from . import redenv
+from .redenv import Character, apply, baby_verma, invertible_in_rep, is_irreducible, sum_monomials
 from .redenv import monomial_matrix as _monomial_matrix
 from .roots import Root, cartan_integer
 
@@ -622,7 +624,6 @@ def verify_independence_truncated(cand: LeeCandidate, rep, bound: int, order=Non
     import numpy as np
 
     from .linalg import kernel_mod_p, rank_mod_p
-    from .redenv import apply
 
     p = cand.p
     tuples = cand.tuples_with_bound(bound) if order is None else list(order)
@@ -700,8 +701,6 @@ def check_lee_conditions(
 ) -> LeeConditionsReport:
     """Dimension, irreducibility, truncated independence, and the c-scan of
     every parenthesis subexpression (singular values enumerated exactly)."""
-    from .redenv import invertible_in_rep, is_irreducible
-
     L = cand.algebra
     p = cand.p
     expected = p**L.m
@@ -745,8 +744,6 @@ def verification_report(
     sign verdicts, stability as c goes from 0 to 1, coefficient-family
     status, and the matrix cross-check on the baby Verma module when it has
     at most REP_DIM_LIMIT dimensions."""
-    from .redenv import Character, baby_verma, evaluate
-
     alpha = case_alpha(L, case)
     specs = _build_case(L, case)
     results = [solve_signs(s, L) for s in specs]
@@ -758,7 +755,7 @@ def verification_report(
     rep = Xa = None
     if L.p and L.p ** L.m <= REP_DIM_LIMIT:
         rep = baby_verma(L, Character(L, {L.xpos(-alpha): 1}), {i: 0 for i in range(1, L.l + 1)})
-        Xa = evaluate(L.enveloping().from_lie(L.x(alpha)), rep)
+        Xa = redenv.evaluate(L.enveloping().from_lie(L.x(alpha)), rep)
     memo: dict = {}  # reduced monomial -> its matrix, shared by the cross-checks
     spec_entries = []
     consistent = True
@@ -854,19 +851,10 @@ def _rep_cross_check(result, Xa, rep, memo: dict | None = None) -> dict:
     formed once.  The two sides must agree; solved assignments must give the
     zero matrix, and nonzero residues must either evaluate nonzero or carry a
     nonzero homogeneous weight."""
-    from .redenv import reduce
-
     memo = {} if memo is None else memo
 
     def rho(u):
-        # summed by sparse additions, not by redenv.evaluate's one COO build:
-        # these are long sums of overlapping matrices, where the COO build
-        # measured slower (two warm B2 p = 7 reports, 0.15 against 0.20 s)
-        total = 0 * Xa
-        for mono, c in reduce(u, rep.chi).terms.items():
-            total = total + c * (_monomial_matrix(mono, rep, memo) if mono else rep.identity())
-        total.data %= rep.p
-        return total
+        return sum_monomials(u, rep, memo, _monomial_matrix)
 
     checked = []
     ok = True

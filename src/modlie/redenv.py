@@ -341,28 +341,29 @@ def monomial_matrix(mono: Mono, rep: MatrixRep, memo: dict) -> sp.csr_matrix:
     return M
 
 
+def sum_monomials(u: UEElement, rep: MatrixRep, memo: dict, form=monomial_matrix) -> sp.csr_matrix:
+    """The sum of c rho(m) over the monomials c m of reduce(u, rep.chi), with
+    each rho(m) = form(m, rep, memo), so monomials that share a suffix share
+    its product, summed by sparse additions into the canonical CSR matrix
+    (entries below p, no stored zeros, sorted column indices) that apply(u,
+    rep, I) returns."""
+    total = sp.csr_matrix((rep.dim, rep.dim), dtype=np.int64)
+    for mono, c in reduce(u, rep.chi).terms.items():
+        total = total + c * (form(mono, rep, memo) if mono else rep.identity())
+    total.data %= rep.p
+    total.eliminate_zeros()
+    total.sum_duplicates()  # sorts the column indices of every row
+    return total
+
+
 def evaluate(u: UEElement, rep: MatrixRep) -> sp.csr_matrix:
     """Image of u under the algebra homomorphism extending the generator
-    matrices: the sum of c rho(m) over the monomials c m of reduce(u,
-    rep.chi), with each rho(m) from monomial_matrix and one memo per call, so
-    monomials that share a suffix share its product.  The terms are summed
-    by one COO build, which also sorts the column indices of every row: the
-    same canonical CSR matrix as apply(u, rep, I)."""
+    matrices: sum_monomials with one memo per call, the same matrix as
+    apply(u, rep, I)."""
     if u.uea.lie is not rep.algebra:
         raise MixedAlgebras("element and representation over different algebras")
-    p, dim = rep.p, rep.dim
-    check_int64_sum(p, dim)  # each product sums dim residue products
-    memo: dict = {}
-    rows, cols, vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int64)]
-    for mono, c in reduce(u, rep.chi).terms.items():
-        M = monomial_matrix(mono, rep, memo) if mono else rep.identity()
-        rows.append(np.repeat(np.arange(dim), np.diff(M.indptr)))
-        cols.append(M.indices)
-        vals.append(c * M.data % p)  # each term below p, so the sums stay far inside int64
-    total = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(dim, dim))
-    total.data %= p
-    total.eliminate_zeros()
-    return total
+    check_int64_sum(rep.p, rep.dim)  # each product sums dim residue products
+    return sum_monomials(u, rep, {})
 
 
 def invertible_in_rep(u: UEElement, rep: MatrixRep) -> bool:
