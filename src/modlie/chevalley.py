@@ -31,6 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .linalg import DenseEchelon, FractionEchelon
 from .roots import Root, RootSystem, RootNotInSystem, cartan_integer, root_string
 
 
@@ -386,8 +387,6 @@ class SubalgebraVerdict:
 
 
 def _echelon_for(alg: LieAlgebra):
-    from .linalg import DenseEchelon, FractionEchelon
-
     if alg.p:
         return DenseEchelon(alg.p)
     return FractionEchelon(alg.n)

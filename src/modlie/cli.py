@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import warnings
 from dataclasses import dataclass, field, fields
@@ -523,7 +524,13 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     finally:
         warnings.formatwarning = default_format
-    _emit(payload["report"], cfg, payload["human"])
+    try:
+        _emit(payload["report"], cfg, payload["human"])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (| head): the answer stands, and
+        # pointing stdout at devnull keeps the exit-time flush from failing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chevalley import LieElement
+from .pbw import commutator as ue_comm
 from .roots import Root, RootSystem
 
 
@@ -355,8 +356,6 @@ def to_ue(e: Expr, uea, signs: dict[int, int] | None = None, c_value: int = 0):
     Sign slots take values from `signs` (+1/-1); every Const evaluates to
     `c_value`.  Multiplication preserves the written factor order.
     """
-    from .pbw import commutator as ue_comm
-
     lie = uea.lie
     rs = lie.rs
 

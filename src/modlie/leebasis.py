@@ -30,11 +30,13 @@ import random
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+import numpy as np
+
+from . import linalg, redenv
 from .chevalley import LieAlgebra, LieElement
 from .expr import Add, Const, Expr, Mul, Num, Pow, SignSlot, XAtom, HAtom, print_expr, to_ue
 from .pbw import UEElement, commutator, multiply, to_string, weight
-from . import redenv
-from .redenv import Character, apply, baby_verma, invertible_in_rep, is_irreducible, sum_monomials
+from .redenv import Character, ModuleTooLarge, baby_verma, invertible_in_rep, is_irreducible, sum_monomials
 from .redenv import monomial_matrix as _monomial_matrix
 from .roots import Root, cartan_integer
 
@@ -430,13 +432,10 @@ def _alpha_pairing(L: LieAlgebra, alpha: Root, vec: tuple[int, ...]) -> int:
 
 
 def _subsets_independent(vectors, l, p) -> bool:
-    from .linalg import rank_mod_p
-    import numpy as np
-
     k = min(l, len(vectors))
     for subset in itertools.combinations(range(len(vectors)), k):
         M = np.array([vectors[i] for i in subset], dtype=np.int64)
-        if rank_mod_p(M, p) != k:
+        if linalg.rank_mod_p(M, p) != k:
             return False
     return True
 
@@ -611,45 +610,53 @@ def verify_independence_truncated(cand: LeeCandidate, rep, bound: int, order=Non
     """Exact rank over F_p of the candidate elements with exponent sum <=
     bound, evaluated in the representation.
 
+    rho is a homomorphism, so each element's matrix is a product of the
+    factor matrices F_j = evaluate(B_j + A_j); no PBW product is formed.
     Full rank is first tried by projection: a dependency among the matrices
     is also one among their images of a fixed random vector, so images of
-    full rank prove the matrices independent (Wiedemann 1986).  rho is a
-    homomorphism, so each image is the probe with the factor elements
-    applied one exponent at a time, rightmost factor first; no PBW product
-    and no matrix is formed.  Otherwise the same chain applied to the
-    identity gives the matrices, which are vectorized and eliminated
-    exactly, and any dependency comes back as an explicit
+    full rank prove the matrices independent (Wiedemann 1986).  Each image
+    is the probe with the F_j applied one exponent at a time, rightmost
+    factor first, so no product matrix is formed either.  Otherwise the
+    same chain applied to I gives the matrices, which are vectorized and
+    eliminated exactly, and any dependency comes back as an explicit
     coefficient combination: the tuple that first falls into the span of the
-    earlier ones with coefficient 1, plus those earlier independent tuples."""
-    import numpy as np
-
-    from .linalg import kernel_mod_p, rank_mod_p
-
+    earlier ones with coefficient 1, plus those earlier independent tuples.
+    A stack of more than MAX_DENSE_DIM^2 entries raises ModuleTooLarge
+    before it is allocated."""
     p = cand.p
     tuples = cand.tuples_with_bound(bound) if order is None else list(order)
-
-    def image(tup, X):
+    for tup in tuples:
         cand.check_exponents(tup)
+    F = [redenv.evaluate(cand.factor_element(j), rep) for j in range(cand.size)]
+
+    def image(tup, X, act):
+        """X under F_1^e_1 ... F_k^e_k: act(F_j, X) once per exponent, rightmost first."""
         for j in reversed(range(len(tup))):
             for _ in range(tup[j]):
-                X = apply(cand.factor_element(j), rep, X)
+                X = act(F[j], X)
         return X
 
     if tuples:
         probe = np.random.default_rng(0).integers(0, p, size=rep.dim)
-        if rank_mod_p(np.array([image(tup, probe) for tup in tuples]), p) == len(tuples):
+        images = [image(tup, probe, lambda A, v: A @ v % p) for tup in tuples]
+        if linalg.rank_mod_p(np.array(images), p) == len(tuples):
             return IndependenceReport(
                 count=len(tuples), rank=len(tuples), tuples=tuples, witnesses=[]
             )
-    mats = [image(tup, rep.identity()).tocoo() for tup in tuples]
+    mats = [image(tup, rep.identity(), rep.matmul).tocoo() for tup in tuples]
     flat = [M.row.astype(np.int64) * rep.dim + M.col for M in mats]
     cells = np.unique(np.concatenate(flat)) if flat else np.zeros(0, dtype=np.int64)
+    if len(tuples) * cells.size > redenv.MAX_DENSE_DIM**2:
+        raise ModuleTooLarge(
+            f"independence stack of {len(tuples)} tuples x {cells.size} cells exceeds the limit of"
+            f" {redenv.MAX_DENSE_DIM}^2 entries"
+        )
     S = np.zeros((len(tuples), cells.size), dtype=np.int64)
     for i, (M, f) in enumerate(zip(mats, flat)):
         S[i, np.searchsorted(cells, f)] = M.data
     # pivot columns of S.T are the greedily independent tuples; each free
     # column's kernel vector is the unique dependency of that tuple on them
-    kernel = kernel_mod_p(S.T, p)
+    kernel = linalg.kernel_mod_p(S.T, p)
     witnesses = []
     for v in kernel:
         combo: dict = {}

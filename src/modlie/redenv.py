@@ -47,14 +47,16 @@ MAX_MODULE_DIM = 2**15
 # largest module that is_irreducible tests: it holds d x d int64 arrays (the
 # Krylov matrix, theta, theta - c and an elimination copy), 134 MB each at
 # 2^12 and 1.7 GB at B2 p = 11 (d = 11^4); also the largest strong component
-# whose block invertible_in_rep makes dense
+# whose block invertible_in_rep makes dense, and its square the largest dense
+# stack (tuples x cells) that the independence check eliminates
 MAX_DENSE_DIM = 2**12
 
 
 class ModuleTooLarge(ValueError):
     """The module has more than MAX_MODULE_DIM dimensions (baby_verma) or
     more than MAX_DENSE_DIM (is_irreducible), or rho(u) has a strong
-    component of more than MAX_DENSE_DIM (invertible_in_rep)."""
+    component of more than MAX_DENSE_DIM (invertible_in_rep), or the
+    independence stack more than MAX_DENSE_DIM^2 entries."""
 
 
 @dataclass
@@ -294,37 +296,6 @@ def export_text(rep: MatrixRep) -> str:
     return "\n".join(lines) + "\n"
 
 
-def apply(u: UEElement, rep: MatrixRep, X):
-    """rho(u) X mod p for X a vector, a dense block or a sparse matrix (then
-    a canonical CSR matrix).
-
-    Each monomial of reduce(u, rep.chi) applies its generator factors to X
-    from right to left, so no power of a generator is ever formed."""
-    if u.uea.lie is not rep.algebra:
-        raise MixedAlgebras("element and representation over different algebras")
-    p = rep.p
-    check_int64_sum(p, rep.dim)  # each product sums dim residue products
-
-    def mod(Y):
-        if sp.issparse(Y):
-            Y = Y.tocsr()
-            Y.data %= p
-            Y.eliminate_zeros()
-            return Y
-        return Y % p
-
-    total = mod(0 * X)
-    for m, c in reduce(u, rep.chi).terms.items():
-        Y = X
-        for pos, e in reversed(m):
-            for _ in range(e):
-                Y = mod(rep.generators[pos] @ Y)
-        total = mod(total + c * Y)
-    if sp.issparse(total):
-        total.sum_duplicates()  # sorts the column indices of every row
-    return total
-
-
 def monomial_matrix(mono: Mono, rep: MatrixRep, memo: dict) -> sp.csr_matrix:
     """rho(mono) for a reduced PBW monomial mono != (): each suffix that the
     memo lacks is one generator times the next shorter suffix, so no matrix
@@ -344,9 +315,8 @@ def monomial_matrix(mono: Mono, rep: MatrixRep, memo: dict) -> sp.csr_matrix:
 def sum_monomials(u: UEElement, rep: MatrixRep, memo: dict, form=monomial_matrix) -> sp.csr_matrix:
     """The sum of c rho(m) over the monomials c m of reduce(u, rep.chi), with
     each rho(m) = form(m, rep, memo), so monomials that share a suffix share
-    its product, summed by sparse additions into the canonical CSR matrix
-    (entries below p, no stored zeros, sorted column indices) that apply(u,
-    rep, I) returns."""
+    its product, summed by sparse additions into a canonical CSR matrix
+    (entries below p, no stored zeros, sorted column indices)."""
     total = sp.csr_matrix((rep.dim, rep.dim), dtype=np.int64)
     for mono, c in reduce(u, rep.chi).terms.items():
         total = total + c * (form(mono, rep, memo) if mono else rep.identity())
@@ -358,8 +328,8 @@ def sum_monomials(u: UEElement, rep: MatrixRep, memo: dict, form=monomial_matrix
 
 def evaluate(u: UEElement, rep: MatrixRep) -> sp.csr_matrix:
     """Image of u under the algebra homomorphism extending the generator
-    matrices: sum_monomials with one memo per call, the same matrix as
-    apply(u, rep, I)."""
+    matrices: sum_monomials with one memo per call.  This is the one way from
+    U(L) to matrices."""
     if u.uea.lie is not rep.algebra:
         raise MixedAlgebras("element and representation over different algebras")
     check_int64_sum(rep.p, rep.dim)  # each product sums dim residue products
@@ -402,15 +372,14 @@ def invertible_in_rep(u: UEElement, rep: MatrixRep) -> bool:
 def rep_check_brackets(rep: MatrixRep) -> bool:
     """rho([x,y]) = rho(x)rho(y) - rho(y)rho(x) over all basis pairs."""
     L = rep.algebra
+    U = L.enveloping()
     for i in range(L.n):
         Mi = rep.generators[i]
         for j in range(i + 1, L.n):
             Mj = rep.generators[j]
-            lhs = sp.csr_matrix((rep.dim, rep.dim), dtype=np.int64)
-            for k, c in L.table_entry(i, j).items():
-                lhs = lhs + c * rep.generators[k]
+            lhs = evaluate(U.from_lie(L.element(L.table_entry(i, j))), rep)
             rhs = rep.matmul(Mi, Mj) - rep.matmul(Mj, Mi)
-            if not rep.mats_equal(lhs.tocsr(), rhs.tocsr()):
+            if not rep.mats_equal(lhs, rhs):
                 return False
     return True
 
@@ -418,20 +387,17 @@ def rep_check_brackets(rep: MatrixRep) -> bool:
 def rep_check_restrictedness(rep: MatrixRep) -> bool:
     """rho(x)^p = rho(x^[p]) + chi(x)^p * I over all basis elements."""
     L = rep.algebra
+    U = L.enveloping()
     p = rep.p
     for b in L.basis:
-        # p products by hand: apply would rewrite x^p through reduce, which
-        # is the identity under test
-        lhs = rep.identity()
-        for _ in range(p):
-            lhs = rep.matmul(lhs, rep.generators[b.position])
-        rhs = sp.csr_matrix((rep.dim, rep.dim), dtype=np.int64)
-        for k, c in L.pmap[b.position].items():
-            rhs = rhs + c * rep.generators[k]
-        cp = pow(rep.chi.value(b.position), p, p)
-        if cp:
-            rhs = rhs + cp * rep.identity()
-        if not rep.mats_equal(lhs, rhs.tocsr()):
+        # p - 1 products by hand: evaluate would rewrite x^p through reduce,
+        # which is the identity under test
+        G = lhs = rep.generators[b.position]
+        for _ in range(p - 1):
+            lhs = rep.matmul(lhs, G)
+        x_p = U.from_lie(L.element(L.pmap[b.position]))  # x^[p]
+        rhs = evaluate(x_p + pow(rep.chi.value(b.position), p, p), rep)
+        if not rep.mats_equal(lhs, rhs):
             return False
     return True
 

@@ -367,6 +367,24 @@ def test_small_characteristic_warning_is_one_line():
     assert done.stderr == "warning: running at small characteristic p = 5\n"
 
 
+def test_closed_stdout_keeps_the_exit_code_and_a_quiet_stderr():
+    # the reader stops after one line, as `| head -n 1` does; the 133 kB of
+    # output are more than a pipe buffer (64 kB) and the reader's buffer hold,
+    # so some write hits the closed pipe
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    argv = ["struct-table", "--family", "B", "--rank", "7", "--p", "7"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "modlie", *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 0
+    assert first == b"B7 (p=7): dim 105, 1443 nonzero bracket pairs\n"
+    assert err == b""
+
+
 # SHA-256 of the verify-lee report bytes at p = 7, seed 0, recorded before the
 # template banks were rebuilt from one table
 VERIFY_LEE_SHA256 = {
@@ -411,6 +429,8 @@ COMMAND_REPORTS = {
         (0, "72399d6402fd922212ac98f9ed6dc38435eba678ecb63bc6de5640bc4d2d4613"),
     ("independence", "--p", "7", "--case", "I", "--bound", "2"):
         (0, "ca972165040d0f4f4259e835f4040ad68cfd71d1e9127e298a1856b6b588bb0c"),
+    ("independence", "--p", "7", "--case", "I", "--bound", "4"):
+        (0, "52433e678bf47cdde4345992df83a2d722346b10fd23288414a8718b548cec30"),
     ("check-subalgebra", "--span", "x(+e1); x(-e1); [x(+e1), x(-e1)]", "--extend-h", "h(2)"):
         (0, "eab1cfd2140c62e9d4ae2f8828f38a30f15500a748e81b1052282b37c286eab4"),
     ("check-subalgebra", "--span", "x(+e1); 2 x(+e2) - h(e1)"):

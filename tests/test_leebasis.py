@@ -27,7 +27,7 @@ from modlie.leebasis import (
 )
 from modlie.linalg import kernel_mod_p
 from modlie.pbw import commutator, multiply, weight
-from modlie.redenv import Character, MatrixRep, baby_verma, evaluate
+from modlie.redenv import Character, MatrixRep, ModuleTooLarge, baby_verma, evaluate
 from modlie.roots import Root, build_root_system, cartan_integer
 
 
@@ -369,14 +369,30 @@ def test_independence_matches_exact_reference(partial_candidate, b2_rep7, bound,
     assert (rpt.count, rpt.rank, rpt.tuples, rpt.witnesses) == (len(tuples), rank, tuples, [])
 
 
+def recording_evaluate(monkeypatch):
+    """Patch redenv.evaluate to record the elements it is called with."""
+    import modlie.redenv
+
+    calls = []
+    original = modlie.redenv.evaluate
+
+    def recording(u, rep):
+        calls.append(u)
+        return original(u, rep)
+
+    monkeypatch.setattr("modlie.redenv.evaluate", recording)
+    return calls
+
+
 def test_full_rank_projection_forms_no_product_or_matrix(monkeypatch, partial_candidate, b2_rep7):
     def forbidden(*args, **kwargs):
         raise AssertionError("the full-rank path must not form a product or a matrix")
 
     monkeypatch.setattr("modlie.leebasis.LeeCandidate.element", forbidden)
-    monkeypatch.setattr("modlie.redenv.evaluate", forbidden)
+    evaluated = recording_evaluate(monkeypatch)
     rpt = verify_independence_truncated(partial_candidate, b2_rep7, 2)
     assert (rpt.count, rpt.rank, rpt.witnesses) == (15, 15, [])
+    assert evaluated == [partial_candidate.factor_element(j) for j in range(partial_candidate.size)]
 
 
 def test_projection_images_are_the_element_images(monkeypatch, partial_candidate, b2_rep7):
@@ -486,11 +502,47 @@ def test_deficient_rank_forms_no_product_or_evaluation(monkeypatch, b2_p7, parti
         raise AssertionError("the independence check must not form a product or evaluate one")
 
     monkeypatch.setattr("modlie.leebasis.LeeCandidate.element", forbidden)
-    monkeypatch.setattr("modlie.redenv.evaluate", forbidden)
+    evaluated = recording_evaluate(monkeypatch)
     rpt = verify_independence_truncated(partial_candidate, zero, 2)
     assert (rpt.count, rpt.rank) == (15, 1)
     assert rpt.witnesses == expected.witnesses
     assert len(rpt.witnesses) == 14
+    assert evaluated == [partial_candidate.factor_element(j) for j in range(partial_candidate.size)]
+
+
+@pytest.mark.parametrize("limit", [3, 4])
+def test_independence_stack_limit(monkeypatch, b2_p7, partial_candidate, limit):
+    # on the 1-dim zero rep the stack is 15 tuples x 1 cell: above 3^2
+    # entries it is refused before np.zeros allocates it, within 4^2 it is
+    # eliminated and gives the witnesses pinned in test_zero_rep_dependencies_pinned
+    import modlie.redenv
+
+    zero = MatrixRep(
+        algebra=b2_p7,
+        p=7,
+        dim=1,
+        neg_positions=(),
+        generators={b.position: sp.csr_matrix((1, 1), dtype=np.int64) for b in b2_p7.basis},
+        chi=Character(b2_p7, {}),
+        lam={},
+    )
+    expected = verify_independence_truncated(partial_candidate, zero, 2).witnesses
+    shapes = []
+    zeros = np.zeros
+
+    def recording(shape, *args, **kwargs):
+        shapes.append(shape)
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(modlie.redenv, "MAX_DENSE_DIM", limit)
+    monkeypatch.setattr(np, "zeros", recording)
+    if limit == 3:
+        with pytest.raises(ModuleTooLarge, match="15 tuples x 1 cells exceeds the limit of 3"):
+            verify_independence_truncated(partial_candidate, zero, 2)
+        assert (15, 1) not in shapes
+    else:
+        assert verify_independence_truncated(partial_candidate, zero, 2).witnesses == expected
+        assert (15, 1) in shapes
 
 
 def test_rep_cross_check_reuses_the_solve(monkeypatch, b2_p7):

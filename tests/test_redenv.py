@@ -16,7 +16,6 @@ from modlie.redenv import (
     IncompatibleWeight,
     NonStandardCharacter,
     NotModP,
-    apply,
     baby_verma,
     compatible_lambdas,
     evaluate,
@@ -322,30 +321,6 @@ def apply_case(request):
     L = build_chevalley(build_root_system("B", 2), 5, allow_small=True)
     chi = Character(L, {L.xpos(Root((-1, 0))): 1})
     return baby_verma(L, chi, {1: 0, 2: 0}), 2
-
-
-def test_apply_matches_evaluate_on_vectors_blocks_and_sparse(apply_case):
-    rep, count = apply_case
-    p, d = rep.p, rep.dim
-    U = rep.algebra.enveloping()
-    rng = random.Random(f"apply-{p}")
-    nrng = np.random.default_rng(p)
-    rewritten = 0
-    for _ in range(count):
-        u = power_terms_element(U, rng, p)
-        rewritten += reduce(u, rep.chi) != u
-        A = evaluate(u, rep)
-        v = nrng.integers(0, p, size=d)
-        B = nrng.integers(0, p, size=(d, 3))
-        S = sp.random(d, d, density=3 / d, format="csr", random_state=p, dtype=np.float64)
-        S.data = nrng.integers(1, p, size=S.nnz)
-        S = S.astype(np.int64)
-        assert np.array_equal(apply(u, rep, v), (A @ v) % p)
-        assert np.array_equal(apply(u, rep, B), (A @ B) % p)
-        image = apply(u, rep, S)
-        assert sp.issparse(image)
-        assert rep.mats_equal(image, rep.matmul(A, S))
-    assert rewritten == count
 
 
 def test_evaluate_matches_generator_chain(apply_case):
@@ -851,7 +826,7 @@ def test_evaluate_is_apply_to_the_identity(monkeypatch, family, rank, p):
 
     shared = 0
     for u in [U.zero(), U.one()] + [suffix_sharing_element(U, rng, p) for _ in range(4)]:
-        expected = apply(u, rep, rep.identity())
+        expected = sp.csr_matrix(chain_matrix(u, rep))
         monkeypatch.setattr(MatrixRep, "matmul", count)
         products.clear()
         got = evaluate(u, rep)
