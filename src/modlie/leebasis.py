@@ -36,8 +36,7 @@ from . import linalg, redenv
 from .chevalley import LieAlgebra, LieElement
 from .expr import Add, Const, Expr, Mul, Num, Pow, SignSlot, XAtom, HAtom, print_expr, to_ue
 from .pbw import UEElement, commutator, multiply, to_string, weight
-from .redenv import Character, ModuleTooLarge, baby_verma, invertible_in_rep, is_irreducible, sum_monomials
-from .redenv import monomial_matrix as _monomial_matrix
+from .redenv import Character, ModuleTooLarge, baby_verma, invertible_in_rep, is_irreducible
 from .roots import Root, cartan_integer
 
 
@@ -503,7 +502,6 @@ class LeeCandidate:
     pairs: list[tuple[LieElement, UEElement]]  # (B_i, A_i) in slot order
     targets: list[Root]
     partial: bool
-    _cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def p(self) -> int:
@@ -519,20 +517,8 @@ class LeeCandidate:
         return self.p ** self.size
 
     def factor_element(self, j: int) -> UEElement:
-        key = ("factor", j)
-        if key not in self._cache:
-            B, A = self.pairs[j]
-            self._cache[key] = self.algebra.enveloping().from_lie(B) + A
-        return self._cache[key]
-
-    def factor_power(self, j: int, k: int) -> UEElement:
-        key = ("power", j, k)
-        if key not in self._cache:
-            if k == 0:
-                self._cache[key] = self.algebra.enveloping().one()
-            else:
-                self._cache[key] = multiply(self.factor_power(j, k - 1), self.factor_element(j))
-        return self._cache[key]
+        B, A = self.pairs[j]
+        return self.algebra.enveloping().from_lie(B) + A
 
     def check_exponents(self, exponents: tuple[int, ...]) -> None:
         if len(exponents) != self.size:
@@ -545,7 +531,7 @@ class LeeCandidate:
         out = self.algebra.enveloping().one()
         for j, e in enumerate(exponents):
             if e:
-                out = multiply(out, self.factor_power(j, e))
+                out = multiply(out, self.factor_element(j) ** e)
         return out
 
     def tuples_with_bound(self, bound: int) -> list[tuple[int, ...]]:
@@ -763,7 +749,6 @@ def verification_report(
     if L.p and L.p ** L.m <= REP_DIM_LIMIT:
         rep = baby_verma(L, Character(L, {L.xpos(-alpha): 1}), {i: 0 for i in range(1, L.l + 1)})
         Xa = redenv.evaluate(L.enveloping().from_lie(L.x(alpha)), rep)
-    memo: dict = {}  # reduced monomial -> its matrix, shared by the cross-checks
     spec_entries = []
     consistent = True
     for s, r, stable in zip(specs, results, stability):
@@ -798,7 +783,7 @@ def verification_report(
                     k: [_sgnstr(x) for x in v] for k, v in r.variant_solutions.items()
                 }
             if rep is not None:
-                entry["rep_check"] = _rep_cross_check(r, Xa, rep, memo)
+                entry["rep_check"] = _rep_cross_check(r, Xa, rep)
                 if not entry["rep_check"]["consistent"]:
                     consistent = False
         spec_entries.append(entry)
@@ -849,26 +834,19 @@ def _sgnstr(signs: tuple[int, ...]) -> str:
     return "".join("+" if s > 0 else "-" for s in signs) or "(none)"
 
 
-def _rep_cross_check(result, Xa, rep, memo: dict | None = None) -> dict:
+def _rep_cross_check(result, Xa, rep) -> dict:
     """Independent matrix-side commutator per assignment, with Xa the matrix
-    of x_alpha: rho(element) and rho(residue) are sums over their reduced
-    monomials, and the symbolic commutator is the residue that solve_signs
-    kept (zero when commuting).  memo maps reduced monomials to their
-    matrices; verification_report shares one across a module, so each is
-    formed once.  The two sides must agree; solved assignments must give the
-    zero matrix, and nonzero residues must either evaluate nonzero or carry a
-    nonzero homogeneous weight."""
-    memo = {} if memo is None else memo
-
-    def rho(u):
-        return sum_monomials(u, rep, memo, _monomial_matrix)
-
+    of x_alpha: rho(element) is evaluated on the module, and the symbolic
+    commutator is the residue that solve_signs kept (zero when commuting),
+    evaluated too.  The two sides must agree; solved assignments must give
+    the zero matrix, and nonzero residues must either evaluate nonzero or
+    carry a nonzero homogeneous weight."""
     checked = []
     ok = True
     for a in result.assignments:
-        A = rho(a.element)
+        A = redenv.evaluate(a.element, rep)
         mat_comm = (rep.matmul(Xa, A) - rep.matmul(A, Xa)).tocsr()
-        sym_mat = rho(a.residue) if a.residue is not None else 0 * Xa
+        sym_mat = redenv.evaluate(a.residue, rep) if a.residue is not None else 0 * Xa
         agree = rep.mats_equal(mat_comm, sym_mat)
         entry = {"signs": _sgnstr(a.signs), "homomorphism": agree}
         if a.commutes:

@@ -141,6 +141,10 @@ class MatrixRep:
     generators: dict[int, sp.csr_matrix]
     chi: Character
     lam: dict[int, int]
+    # reduced PBW monomial -> its matrix, read and written only by
+    # _monomial_matrix; the generators must not change after an evaluation
+    # (dataclasses.replace gives a fresh memo)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def identity(self) -> sp.csr_matrix:
         return sp.identity(self.dim, dtype=np.int64, format="csr")
@@ -296,10 +300,11 @@ def export_text(rep: MatrixRep) -> str:
     return "\n".join(lines) + "\n"
 
 
-def monomial_matrix(mono: Mono, rep: MatrixRep, memo: dict) -> sp.csr_matrix:
-    """rho(mono) for a reduced PBW monomial mono != (): each suffix that the
-    memo lacks is one generator times the next shorter suffix, so no matrix
-    is formed twice and none is multiplied by the identity."""
+def _monomial_matrix(mono: Mono, rep: MatrixRep) -> sp.csr_matrix:
+    """rho(mono) for a reduced PBW monomial mono != (): each suffix that
+    rep's memo lacks is one generator times the next shorter suffix, so no
+    matrix is formed twice on a module and none is multiplied by the identity."""
+    memo = rep._memo
     chain = []
     while mono and mono not in memo:
         chain.append(mono)
@@ -312,28 +317,22 @@ def monomial_matrix(mono: Mono, rep: MatrixRep, memo: dict) -> sp.csr_matrix:
     return M
 
 
-def sum_monomials(u: UEElement, rep: MatrixRep, memo: dict, form=monomial_matrix) -> sp.csr_matrix:
-    """The sum of c rho(m) over the monomials c m of reduce(u, rep.chi), with
-    each rho(m) = form(m, rep, memo), so monomials that share a suffix share
-    its product, summed by sparse additions into a canonical CSR matrix
-    (entries below p, no stored zeros, sorted column indices)."""
+def evaluate(u: UEElement, rep: MatrixRep) -> sp.csr_matrix:
+    """Image of u under the algebra homomorphism extending the generator
+    matrices: the sum of c rho(m) over the monomials c m of reduce(u, rep.chi),
+    with monomials that share a suffix sharing its product, summed by sparse
+    additions into a canonical CSR matrix (entries below p, no stored zeros,
+    sorted column indices).  This is the one way from U(L) to matrices."""
+    if u.uea.lie is not rep.algebra:
+        raise MixedAlgebras("element and representation over different algebras")
+    check_int64_sum(rep.p, rep.dim)  # each product sums dim residue products
     total = sp.csr_matrix((rep.dim, rep.dim), dtype=np.int64)
     for mono, c in reduce(u, rep.chi).terms.items():
-        total = total + c * (form(mono, rep, memo) if mono else rep.identity())
+        total = total + c * (_monomial_matrix(mono, rep) if mono else rep.identity())
     total.data %= rep.p
     total.eliminate_zeros()
     total.sum_duplicates()  # sorts the column indices of every row
     return total
-
-
-def evaluate(u: UEElement, rep: MatrixRep) -> sp.csr_matrix:
-    """Image of u under the algebra homomorphism extending the generator
-    matrices: sum_monomials with one memo per call.  This is the one way from
-    U(L) to matrices."""
-    if u.uea.lie is not rep.algebra:
-        raise MixedAlgebras("element and representation over different algebras")
-    check_int64_sum(rep.p, rep.dim)  # each product sums dim residue products
-    return sum_monomials(u, rep, {})
 
 
 def invertible_in_rep(u: UEElement, rep: MatrixRep) -> bool:

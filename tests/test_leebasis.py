@@ -651,17 +651,18 @@ def test_rep_oracle_fails_on_a_corrupted_matrix(monkeypatch, b2_p7):
 
 
 def test_rep_cross_check_forms_each_monomial_once(monkeypatch, b2_p7):
-    # a report shares one memo: every reduced monomial, and every suffix of
-    # one, is one product of a generator and a shorter suffix, never with I
-    import modlie.leebasis as leebasis
+    # a report shares one memo, its module's: every reduced monomial, and
+    # every suffix of one, is one product of a generator and a shorter
+    # suffix, never with I
+    import modlie.redenv as redenv
 
     requested, memos, products = [], set(), []
-    monomial_matrix, matmul = leebasis._monomial_matrix, MatrixRep.matmul
+    monomial_matrix, matmul = redenv._monomial_matrix, MatrixRep.matmul
 
-    def record(mono, rep, memo):
+    def record(mono, rep):
         requested.append(mono)
-        memos.add(id(memo))
-        return monomial_matrix(mono, rep, memo)
+        memos.add(id(rep._memo))
+        return monomial_matrix(mono, rep)
 
     def count(self, A, B):
         identity = self.identity()
@@ -669,7 +670,7 @@ def test_rep_cross_check_forms_each_monomial_once(monkeypatch, b2_p7):
         products.append((A, B))
         return matmul(self, A, B)
 
-    monkeypatch.setattr(leebasis, "_monomial_matrix", record)
+    monkeypatch.setattr(redenv, "_monomial_matrix", record)
     monkeypatch.setattr(MatrixRep, "matmul", count)
     doc = verification_report(b2_p7, "I", seed=0)
     suffixes = set()

@@ -313,7 +313,7 @@ def chain_matrix(u, rep):
 
 
 @pytest.fixture(scope="module", params=["A1-p7", "B2-p5"])
-def apply_case(request):
+def chain_case(request):
     if request.param == "A1-p7":
         L = build_chevalley(build_root_system("A", 1), 7)
         chi = Character(L, {L.xpos(-E1): 1})
@@ -323,8 +323,8 @@ def apply_case(request):
     return baby_verma(L, chi, {1: 0, 2: 0}), 2
 
 
-def test_evaluate_matches_generator_chain(apply_case):
-    rep, count = apply_case
+def test_evaluate_matches_generator_chain(chain_case):
+    rep, count = chain_case
     U = rep.algebra.enveloping()
     rng = random.Random(f"chain-{rep.p}")
     for _ in range(count):
@@ -807,15 +807,18 @@ def suffix_sharing_element(U, rng, p):
     return u
 
 
-@pytest.mark.parametrize("family, rank, p", [("A", 1, 7), ("A", 2, 5), ("B", 2, 7)])
-def test_evaluate_is_apply_to_the_identity(monkeypatch, family, rank, p):
-    # the same canonical CSR arrays, with each suffix of a reduced monomial
-    # formed once per call as a generator times a shorter suffix, never with I
-    L = build_chevalley(build_root_system(family, rank), p, allow_small=True)
-    rep = baby_verma(L, Character(L, {L.xpos(-L.rs.base[0]): 1}), {i: 0 for i in range(1, L.l + 1)})
-    U = L.enveloping()
-    rng = random.Random(f"suffix-{family}{rank}-{p}")
-    products = []
+def suffixes_of(mono):
+    """mono and every shorter suffix of it, down to a single factor; a
+    suffix drops one from the exponent of the first factor."""
+    while mono:
+        yield mono
+        (pos, e), rest = mono[0], mono[1:]
+        mono = ((pos, e - 1),) + rest if e > 1 else rest
+
+
+def counting_matmul(monkeypatch, products):
+    """Patch MatrixRep.matmul to record each product, asserting that neither
+    factor is the identity."""
     matmul = MatrixRep.matmul
 
     def count(self, A, B):
@@ -824,10 +827,23 @@ def test_evaluate_is_apply_to_the_identity(monkeypatch, family, rank, p):
         products.append((A, B))
         return matmul(self, A, B)
 
+    monkeypatch.setattr(MatrixRep, "matmul", count)
+
+
+@pytest.mark.parametrize("family, rank, p", [("A", 1, 7), ("A", 2, 5), ("B", 2, 7)])
+def test_evaluate_forms_each_suffix_once_per_module(monkeypatch, family, rank, p):
+    # the same canonical CSR arrays, with each suffix of a reduced monomial
+    # formed once per module as a generator times a shorter suffix, never with I
+    L = build_chevalley(build_root_system(family, rank), p, allow_small=True)
+    rep = baby_verma(L, Character(L, {L.xpos(-L.rs.base[0]): 1}), {i: 0 for i in range(1, L.l + 1)})
+    U = L.enveloping()
+    rng = random.Random(f"suffix-{family}{rank}-{p}")
+    products = []
+    formed = set()  # suffixes already formed on rep
     shared = 0
     for u in [U.zero(), U.one()] + [suffix_sharing_element(U, rng, p) for _ in range(4)]:
         expected = sp.csr_matrix(chain_matrix(u, rep))
-        monkeypatch.setattr(MatrixRep, "matmul", count)
+        counting_matmul(monkeypatch, products)
         products.clear()
         got = evaluate(u, rep)
         monkeypatch.undo()
@@ -835,16 +851,36 @@ def test_evaluate_is_apply_to_the_identity(monkeypatch, family, rank, p):
             a, b = getattr(got, name), getattr(expected, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
         assert got.has_sorted_indices and got.shape == (rep.dim, rep.dim)
-        suffixes, chains = set(), 0
+        new, chains = set(), 0
         for mono in reduce(u, rep.chi).terms:
             chains += mono_degree(mono) - 1 if mono else 0
-            while mono and mono not in suffixes:
-                suffixes.add(mono)
-                (pos, e), rest = mono[0], mono[1:]
-                mono = ((pos, e - 1),) + rest if e > 1 else rest
-        assert len(products) == sum(1 for mono in suffixes if mono_degree(mono) > 1)
+            new.update(s for s in suffixes_of(mono) if s not in formed)
+        assert len(products) == sum(1 for mono in new if mono_degree(mono) > 1)
+        formed |= new
         shared += chains - len(products)
     assert shared > 0  # some monomials reused a suffix formed for another
+
+
+def test_casimir_scan_forms_each_suffix_once_per_module(monkeypatch, b2_p7):
+    # the shifted-Casimir scan over c in F_7 for both case roots reads every
+    # monomial's matrix from the module, so c changes only the identity term
+    # and a second scan forms nothing
+    L = b2_p7
+    rep = baby_verma(L, Character(L, {L.xpos(Root((-1, 0))): 1}), {1: 0, 2: 0})
+    U = L.enveloping()
+    casimirs = []
+    for alpha in (Root((1, 0)), Root((1, -1))):
+        e, h, f = (U.from_lie(x) for x in L.sl2_triple(alpha))
+        casimirs.append((h + 1) ** 2 + 4 * f * e)
+    suffixes = {s for w in casimirs for c in range(7) for mono in reduce(w + c, rep.chi).terms
+                for s in suffixes_of(mono) if mono_degree(s) > 1}
+    products = []
+    counting_matmul(monkeypatch, products)
+    for expected in (len(suffixes), 0):
+        products.clear()
+        singular = [[c for c in range(7) if not invertible_in_rep(w + c, rep)] for w in casimirs]
+        assert singular == [[0, 3, 5, 6]] * 2
+        assert len(products) == expected
 
 
 def test_invertible_in_rep_refuses_a_large_component_before_densifying(monkeypatch):
