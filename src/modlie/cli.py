@@ -495,7 +495,7 @@ def _warning_line(message, category, filename, lineno, line=None) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     ap = _build_parser()
-    args = ap.parse_args(argv)
+    args = ap.parse_intermixed_args(argv)
     warnings.formatwarning, default_format = _warning_line, warnings.formatwarning
     try:
         cfg = _merge_config(args)

@@ -441,38 +441,31 @@ def _subsets_independent(vectors, l, p) -> bool:
 
 def gen_Bi(L: LieAlgebra, alpha: Root, seed: int = 0, count: int | None = None) -> BiFamily:
     """Coefficient vectors b_i with every min(l, count)-subset of the family
-    linearly independent over F_p and alpha(B_i) != 0, realized on the moment
-    curve t -> (1, t, ..., t^(l-1)) when enough parameters exist, otherwise by
-    seeded random search with exhaustive verification."""
+    linearly independent over F_p and alpha(B_i) != 0: the first `count`
+    vectors with nonzero pairing on the moment curve t -> (1, t, ..., t^(l-1)),
+    t in F_p, then its point at infinity (0, ..., 0, 1); `params` holds the
+    t's when the family lies on the affine curve, else None.  At l = 2 the
+    list is every direction, so a longer family is refused; otherwise a
+    family the list cannot give (l >= 3, or l = 1 past p + 1 vectors) comes
+    from a seeded random search with exhaustive verification."""
     p = L.p
     if not p:
         raise ValueError("coefficient families live over F_p")
     l = L.l
     count = 2 * L.m if count is None else count
-    moment = []
-    params = []
-    for t in range(p):
-        v = tuple(pow(t, k, p) for k in range(l))
-        if _alpha_pairing(L, alpha, v) != 0:
-            moment.append(v)
-            params.append(t)
-    if len(moment) >= count:
-        vectors = tuple(moment[:count])
-        fam = BiFamily(L, alpha, vectors, params=tuple(params[:count]))
+    curve = [(t, tuple(pow(t, k, p) for k in range(l))) for t in range(p)]
+    curve.append((None, (0,) * (l - 1) + (1,)))
+    admissible = [(t, v) for t, v in curve if _alpha_pairing(L, alpha, v) != 0]
+    if len(admissible) >= count:
+        params = tuple(t for t, _ in admissible[:count])
+        vectors = tuple(v for _, v in admissible[:count])
         if _subsets_independent(vectors, l, p):
-            return fam
-    if l == 2:
-        # exact feasibility: distinct projective directions avoiding the
-        # alpha-degenerate line
-        available = 0
-        for direction in [(1, t) for t in range(p)] + [(0, 1)]:
-            if _alpha_pairing(L, alpha, direction) != 0:
-                available += 1
-        if count > available:
-            raise ExhaustedField(
-                f"need {count} pairwise-independent vectors with nonzero pairing,"
-                f" only {available} directions exist at p = {p}"
-            )
+            return BiFamily(L, alpha, vectors, params=None if None in params else params)
+    elif l == 2:
+        raise ExhaustedField(
+            f"need {count} pairwise-independent vectors with nonzero pairing,"
+            f" only {len(admissible)} directions exist at p = {p}"
+        )
     # MDS bound for prime fields (Ball, JEMS 2012; Segre's bound on arcs for
     # l = 3): for 3 <= l <= p at most p + 1 vectors of F_p^l have every
     # l-subset a basis, so a larger family is not searched for

@@ -94,13 +94,6 @@ class EnvelopingAlgebra:
                 out[w] = out.get(w, 0) + c * c2
         return self.lie.normalize(out)
 
-    def mono_product(self, m1: Mono, m2: Mono) -> dict[Mono, int]:
-        cur = {m2: 1}
-        for idx, e in reversed(m1):
-            for _ in range(e):
-                cur = self._gen_into_terms(idx, cur)
-        return cur
-
 
 @dataclass
 class UEElement:
@@ -179,14 +172,18 @@ class UEElement:
 
 
 def multiply(u: UEElement, v: UEElement) -> UEElement:
-    """PBW normal form of the product."""
+    """PBW normal form of the product: the factors of each monomial of u are
+    inserted into all of v at once, rightmost first."""
     u._same(v)
     uea = u.uea
     out: dict[Mono, int] = {}
     for m1, c1 in u.terms.items():
-        for m2, c2 in v.terms.items():
-            for w, c in uea.mono_product(m1, m2).items():
-                out[w] = out.get(w, 0) + c1 * c2 * c
+        cur = v.terms
+        for idx, e in reversed(m1):
+            for _ in range(e):
+                cur = uea._gen_into_terms(idx, cur)
+        for w, c in cur.items():
+            out[w] = out.get(w, 0) + c1 * c
     return UEElement(uea, out)
 
 

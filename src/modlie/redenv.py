@@ -13,6 +13,7 @@ evaluating PBW normal forms on the matrices checks one against the other.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -449,10 +450,12 @@ def _eigenvalues(theta: sp.csr_matrix, v: np.ndarray, p: int) -> np.ndarray:
 def is_irreducible(rep: MatrixRep, seed: int = 0, trials: int = 50) -> IrreducibilityVerdict:
     """Norton's irreducibility test (Parker 1984; Holt & Rees 1994).
 
-    Trial t < `trials` forms theta from three words of length 1-2 drawn from
+    Trial t < `trials` draws a word of three terms coef x_q1 (x_q2) from
     random.Random(t), numbered like the C MeatAxe's words so that the work is
-    the same at every seed, and tries each root c of the minimal polynomial
-    of a vector drawn from random.Random(seed).  One vector of
+    the same at every seed.  theta is `evaluate` of the word's sum in U(L), so
+    its products go into the module's memo and a repeat test forms none.  The
+    trial tries each root c of the minimal polynomial of a vector drawn from
+    random.Random(seed).  One vector of
     N = ker(theta - c) is spun under the generators and one of
     ker((theta - c)^T) under their transposes; a proper spin, or the
     annihilator of a proper dual spin, is returned as a submodule.  If
@@ -470,18 +473,14 @@ def is_irreducible(rep: MatrixRep, seed: int = 0, trials: int = 50) -> Irreducib
     positions = [b.position for b in rep.algebra.basis]
     gens = sp.vstack([rep.generators[q] for q in positions], format="csr")
     duals = sp.vstack([rep.generators[q].T for q in positions], format="csr")
+    U = rep.algebra.enveloping()
     rng = random.Random(seed)
     for t in range(trials):
         w = random.Random(t)
         word = [[w.randrange(1, p), [w.choice(positions) for _ in range(w.randint(1, 2))]]
                 for _ in range(3)]
-        theta = sp.csr_matrix((d, d), dtype=np.int64)
-        for coef, qs in word:
-            M = rep.generators[qs[0]]
-            for q in qs[1:]:
-                M = rep.matmul(M, rep.generators[q])
-            theta = theta + coef * M
-        theta.data %= p
+        theta = evaluate(sum((math.prod(map(U.gen, qs), start=U.scalar(coef)) for coef, qs in word),
+                             U.zero()), rep)
         v = np.array([rng.randrange(p) for _ in range(d)], dtype=np.int64)
         roots = _eigenvalues(theta, v, p)
         theta = theta.toarray()

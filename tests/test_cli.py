@@ -36,6 +36,14 @@ def test_normalform_matches_example(capsys):
     assert out.splitlines()[0] == "x(-e1) x(+e1) + h(e1)"
 
 
+def test_normalform_expression_after_the_options(capsys):
+    code, out, _ = run_main(
+        capsys, "normalform", "--family", "A", "--rank", "1", "--p", "7", "x(+e1) x(-e1)"
+    )
+    assert code == 0
+    assert out.splitlines()[0] == "x(-e1) x(+e1) + h(e1)"
+
+
 def test_central_true_exit_zero(capsys):
     code, out, _ = run_main(
         capsys,

@@ -472,6 +472,28 @@ def test_verification_report_b3_weight_certificates(b3_p7):
                 assert a["residue_weight"] not in ("0", "non-homogeneous")
 
 
+def test_gen_bi_ends_with_the_point_at_infinity(b2_p11):
+    # ten moment-curve vectors pair nonzero with e1 - e2 at p = 11, and (0, 1)
+    # is the eleventh direction: the family is read off that one list
+    import itertools as it
+
+    import numpy as np
+
+    from modlie.linalg import rank_mod_p
+
+    alpha = E1B2 - E2B2
+    fam = gen_Bi(b2_p11, alpha, seed=0, count=11)
+    assert len(fam.vectors) == 11
+    assert fam.vectors[-1] == (0, 1)
+    assert fam.params is None
+    for i, j in it.combinations(range(11), 2):
+        M = np.array([fam.vectors[i], fam.vectors[j]], dtype=np.int64)
+        assert rank_mod_p(M, 11) == 2
+    for v in fam.vectors:
+        pairing = sum(c * cartan_integer(alpha, b2_p11.rs.base[i]) for i, c in enumerate(v))
+        assert pairing % 11 != 0
+
+
 def test_gen_bi_refuses_families_beyond_the_mds_bound(monkeypatch, b3_p7):
     # at l = 3 <= p = 7 no 10 vectors have every 3-subset a basis (at most
     # p + 1 = 8 do), so the answer comes without testing a single family

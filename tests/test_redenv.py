@@ -883,6 +883,22 @@ def test_casimir_scan_forms_each_suffix_once_per_module(monkeypatch, b2_p7):
         assert len(products) == expected
 
 
+def test_repeat_irreducibility_test_forms_no_product(monkeypatch):
+    # theta is the matrix of its word's element of U(L) from evaluate, so
+    # trial 0's products go into the module's memo and a second test on the
+    # same module forms none
+    rep = a1_module(7, True)
+    products = []
+    counting_matmul(monkeypatch, products)
+    first = is_irreducible(rep)
+    assert first.certificate["trial"] == 0
+    assert first.certificate["word"] == [[4, [0, 1]], [5, [1, 1]], [4, [2, 0]]]
+    products.clear()
+    second = is_irreducible(rep)
+    assert len(products) == 0
+    assert second.certificate == first.certificate
+
+
 def test_invertible_in_rep_refuses_a_large_component_before_densifying(monkeypatch):
     import modlie.redenv as redenv
 
