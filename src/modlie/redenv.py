@@ -48,8 +48,8 @@ MAX_MODULE_DIM = 2**15
 # largest module that is_irreducible tests: it holds d x d int64 arrays (the
 # Krylov matrix, theta, theta - c and an elimination copy), 134 MB each at
 # 2^12 and 1.7 GB at B2 p = 11 (d = 11^4); also the largest strong component
-# whose block invertible_in_rep makes dense, and its square the largest dense
-# stack (tuples x cells) that the independence check eliminates
+# of a trimmed core whose block invertible_in_rep makes dense, and its square
+# the largest dense stack (tuples x cells) that the independence check eliminates
 MAX_DENSE_DIM = 2**12
 
 
@@ -336,24 +336,110 @@ def evaluate(u: UEElement, rep: MatrixRep) -> sp.csr_matrix:
     return total
 
 
+def _trim(A: sp.csr_matrix, zero_diag: np.ndarray) -> np.ndarray | None:
+    """Mask of the vertices left (the core) after deleting from A's
+    off-diagonal nonzero pattern, round by round, every vertex with no
+    in-edge or no out-edge among the vertices left (the trim of McLendon et
+    al. 2005), or None as soon as a deleted vertex, a strong component by
+    itself, is marked in zero_diag."""
+    src = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    dst = A.indices.astype(np.intp)  # numpy indexes faster with intp than int32
+    off = src != dst
+    src, dst = src[off], dst[off]
+    alive = np.ones(zero_diag.size, dtype=bool)
+    has_in = np.empty_like(alive)
+    has_out = np.empty_like(alive)
+    while True:
+        has_in.fill(False)
+        has_in[dst] = True
+        has_out.fill(False)
+        has_out[src] = True
+        keep = has_in & has_out  # a subset of alive: every edge left joins two live vertices
+        gone = alive ^ keep
+        if not gone.any():
+            return alive
+        if (gone & zero_diag).any():
+            return None
+        alive = keep
+        inner = keep[src] & keep[dst]
+        src, dst = src[inner], dst[inner]
+
+
+def _strong_components(A: sp.csr_matrix) -> np.ndarray:
+    """Label of the strong component of each vertex of A's nonzero pattern
+    (Tarjan 1972), walked with an explicit stack, so that a long path needs
+    no recursion."""
+    n = A.shape[0]
+    ptr = A.indptr.tolist()
+    nbr = A.indices.tolist()
+    nxt = ptr[:-1]  # next edge to follow out of each vertex
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    labels = [-1] * n
+    stack: list[int] = []
+    count = ncomp = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        on_stack[root] = True
+        path = [root]
+        while path:
+            v = path[-1]
+            if nxt[v] < ptr[v + 1]:
+                w = nbr[nxt[v]]
+                nxt[v] += 1
+                if index[w] < 0:
+                    index[w] = low[w] = count
+                    count += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    path.append(w)
+                elif on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+                continue
+            path.pop()
+            if path and low[v] < low[path[-1]]:
+                low[path[-1]] = low[v]
+            if low[v] == index[v]:
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    labels[w] = ncomp
+                    if w == v:
+                        break
+                ncomp += 1
+    return np.array(labels, dtype=np.int64)
+
+
 def invertible_in_rep(u: UEElement, rep: MatrixRep) -> bool:
     """True iff u acts invertibly on the module.
 
     Ordering the strong components of rho(u)'s nonzero pattern topologically
     is a symmetric permutation that makes rho(u) block upper triangular (Tarjan
-    1972), so rho(u) is invertible iff every diagonal block is: 1x1 blocks
-    are read off the diagonal, larger ones get an exact dense rank; a
+    1972), so rho(u) is invertible iff every diagonal block is.  Trimming the
+    pattern (_trim) deletes vertices that are components by themselves, 1x1
+    blocks read off the diagonal; the components of what is left, the core,
+    come from Tarjan's walk, their 1x1 blocks again read off the diagonal and
+    larger ones given an exact dense rank.  When no 1x1 block is zero, a
     component of more than MAX_DENSE_DIM raises ModuleTooLarge before any
     block is made dense."""
-    # imported here, not at the top: csgraph adds about 11 MB of RSS to
-    # every process that loads redenv, most of which never test invertibility
-    from scipy.sparse.csgraph import connected_components
-
     A = evaluate(u, rep)
-    ncomp, labels = connected_components(A, directed=True, connection="strong")
-    sizes = np.bincount(labels, minlength=ncomp)
+    zero_diag = A.diagonal() == 0
+    alive = _trim(A, zero_diag)
+    if alive is None:
+        return False
+    core = np.flatnonzero(alive)
+    if core.size == 0:
+        return True
+    A = A[core][:, core]
+    labels = _strong_components(A)
+    sizes = np.bincount(labels)
     singletons = sizes[labels] == 1
-    if not np.all(A.diagonal()[singletons] % rep.p):
+    if zero_diag[core][singletons].any():
         return False
     if sizes.max() > MAX_DENSE_DIM:
         raise ModuleTooLarge(

@@ -25,7 +25,7 @@ from modlie.leebasis import (
     verification_report,
     verify_independence_truncated,
 )
-from modlie.linalg import kernel_mod_p
+from modlie.linalg import kernel_mod_p, rank_mod_p
 from modlie.pbw import commutator, multiply, weight
 from modlie.redenv import Character, MatrixRep, ModuleTooLarge, baby_verma, evaluate
 from modlie.roots import Root, build_root_system, cartan_integer
@@ -215,9 +215,9 @@ def test_gen_bi_exhausted_at_small_p(b2_p7):
 
 
 def test_gen_bi_random_fallback():
-    # moment parameters give only six admissible vectors for this alpha at
-    # p = 7, but seven directions exist once (0, 1) is allowed: the seeded
-    # random path must find them
+    # six moment-curve vectors pair nonzero with e1 - e2 at p = 7, and the
+    # point at infinity (0, 1) is the seventh direction: the family is read
+    # off that list, without the seeded random search
     import itertools as it
 
     import numpy as np
@@ -492,6 +492,22 @@ def test_gen_bi_ends_with_the_point_at_infinity(b2_p11):
     for v in fam.vectors:
         pairing = sum(c * cartan_integer(alpha, b2_p11.rs.base[i]) for i, c in enumerate(v))
         assert pairing % 11 != 0
+
+
+def test_gen_bi_seeded_random_search_b3_p5():
+    # only four vectors of the moment curve and its point at infinity pair
+    # nonzero with e1 - e2 at B3, p = 5, so a family of five comes from the
+    # seeded random search
+    L = build_chevalley(build_root_system("B", 3), 5, allow_small=True)
+    alpha = case_alpha(L, "II")
+    fam = gen_Bi(L, alpha, seed=0, count=5)
+    assert len(fam.vectors) == 5
+    assert fam.params is None
+    for trio in itertools.combinations(fam.vectors, 3):
+        assert rank_mod_p(np.array(trio, dtype=np.int64), 5) == 3
+    for v in fam.vectors:
+        assert sum(c * cartan_integer(alpha, L.rs.base[i]) for i, c in enumerate(v)) % 5 != 0
+    assert gen_Bi(L, alpha, seed=0, count=5).vectors == fam.vectors
 
 
 def test_gen_bi_refuses_families_beyond_the_mds_bound(monkeypatch, b3_p7):

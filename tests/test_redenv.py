@@ -1,9 +1,18 @@
+import inspect
 import itertools
+import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from modlie.chevalley import build_chevalley
@@ -13,6 +22,8 @@ from modlie.redenv import (
     Character,
     MatrixRep,
     _eigenvalues,
+    _strong_components,
+    _trim,
     IncompatibleWeight,
     NonStandardCharacter,
     NotModP,
@@ -262,7 +273,7 @@ def random_products_element(U, rng, p):
 
 @pytest.mark.parametrize(
     "family, rank, p",
-    [("A", 1, 7), ("A", 2, 5), ("B", 2, 5)],
+    [("A", 1, 7), ("A", 2, 5), ("B", 2, 5), ("C", 2, 5)],
 )
 def test_invertibility_matches_dense_rank(family, rank, p):
     L = build_chevalley(build_root_system(family, rank), p, allow_small=True)
@@ -283,6 +294,58 @@ def test_invertibility_matches_dense_rank(family, rank, p):
             singular += not expected
     # both block paths and both answers are exercised
     assert blocked >= 8 and 8 <= singular <= 40
+
+
+def trim_then_tarjan(A):
+    """Strong component labels of A's nonzero pattern as invertible_in_rep
+    finds them: each trimmed vertex alone, then Tarjan's walk on the core."""
+    n = A.shape[0]
+    core = np.flatnonzero(_trim(A, np.zeros(n, dtype=bool)))
+    labels = n + np.arange(n)
+    labels[core] = _strong_components(A[core][:, core])
+    return labels
+
+
+def partition(labels):
+    return sorted(np.flatnonzero(labels == c).tolist() for c in np.unique(labels))
+
+
+@st.composite
+def sparse_patterns(draw, shape):
+    """Edge list of a graph on n vertices of the named shape, its vertices
+    numbered in a random order."""
+    n = draw(st.integers(1, 40))
+    order = draw(st.permutations(range(n)))
+    forward = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).map(sorted)
+    if shape == "self_loops":
+        return n, [(v, v) for v in draw(st.sets(st.integers(0, n - 1)))]
+    if shape == "long_cycle":
+        return n, list(zip(order, order[1:] + order[:1]))
+    if shape == "dag":  # edges only run forward along order
+        return n, [(order[a], order[b]) for a, b in draw(st.lists(forward, max_size=3 * n)) if a < b]
+    if shape == "short_cycles":  # cycles of 1-4 consecutive vertices of order, joined by forward edges
+        edges, start = [], 0
+        while start < n:
+            cycle = order[start : start + draw(st.integers(1, 4))]
+            edges += zip(cycle, cycle[1:] + cycle[:1])
+            start += len(cycle)
+        return n, edges + [(order[a], order[b]) for a, b in draw(st.lists(forward, max_size=n))]
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))
+    if shape == "empty_rows":
+        empty = draw(st.sets(st.integers(0, n - 1), min_size=1))
+        edges = [(i, j) for i, j in edges if i not in empty]
+    return n, edges
+
+
+@pytest.mark.parametrize("shape", ["random", "self_loops", "empty_rows", "long_cycle", "short_cycles", "dag"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_trim_then_tarjan_matches_csgraph(shape, data):
+    n, edges = data.draw(sparse_patterns(shape))
+    rows, cols = (np.array(side, dtype=np.int64) for side in zip(*edges)) if edges else ([], [])
+    A = sp.csr_matrix((np.ones(len(edges), dtype=np.int64), (rows, cols)), shape=(n, n))
+    _, expected = connected_components(A, directed=True, connection="strong")
+    assert partition(trim_then_tarjan(A)) == partition(expected)
 
 
 def power_terms_element(U, rng, p):
@@ -920,3 +983,60 @@ def test_invertible_in_rep_refuses_a_large_component_before_densifying(monkeypat
     monkeypatch.undo()
     monkeypatch.setattr(redenv, "MAX_DENSE_DIM", 7)
     assert invertible_in_rep(f, rep)
+
+
+def test_invertibility_of_a_long_cycle_needs_no_recursion(monkeypatch):
+    import modlie.redenv as redenv
+
+    # chi(f) = 1 makes rho(f) on the 1009-dimensional A1 module one 1009-cycle:
+    # trimming deletes no vertex, and the core is one strong component
+    L = build_chevalley(build_root_system("A", 1), 1009)
+    rep = baby_verma(L, Character(L, {L.xpos(-E1): 1}), {1: 0})
+    f = L.enveloping().gen(L.xpos(-E1))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("no block may be made dense above the limit")
+
+    monkeypatch.setattr(redenv, "MAX_DENSE_DIM", 1008)
+    monkeypatch.setattr(redenv, "rank_mod_p", forbidden)
+    monkeypatch.setattr(sp.csr_matrix, "toarray", forbidden)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+    try:
+        with pytest.raises(redenv.ModuleTooLarge, match=r"dimension 1009 exceeds the limit of 1008"):
+            invertible_in_rep(f, rep)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_b2_casimir_scan_loads_neither_csgraph_nor_scipy_linalg():
+    # trimming alone decides every shifted Casimir of the 2401-dimensional
+    # module; scipy.sparse.csgraph (which loads scipy.linalg) costs about 11 MB
+    script = textwrap.dedent(
+        """
+        import json, sys
+        import modlie
+        from modlie.chevalley import build_chevalley
+        from modlie.leebasis import case_alpha
+        from modlie.redenv import Character, baby_verma, invertible_in_rep
+        from modlie.roots import build_root_system
+
+        L = build_chevalley(build_root_system("B", 2), 7)
+        rep = baby_verma(L, Character(L, {L.xpos(-case_alpha(L, "I")): 1}), {1: 0, 2: 0})
+        U = L.enveloping()
+        singular = {}
+        for case in ("I", "II"):
+            e, h, f = (U.from_lie(x) for x in L.sl2_triple(case_alpha(L, case)))
+            w = (h + 1) ** 2 + 4 * f * e
+            singular[case] = [c for c in range(7) if not invertible_in_rep(w + c, rep)]
+        loaded = [name for name in ("scipy.sparse.csgraph", "scipy.linalg") if name in sys.modules]
+        print(json.dumps({"singular": singular, "loaded": loaded}))
+        """
+    )
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout)
+    assert out["singular"] == {"I": [0, 3, 5, 6], "II": [0, 3, 5, 6]}
+    assert out["loaded"] == []
