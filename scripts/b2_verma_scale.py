@@ -1,5 +1,8 @@
 #!/usr/bin/env python3
-"""Build the 2401-dimensional rank-2 module at p = 7 and time its checks.
+"""Build the p^4-dimensional B2 baby Verma module and time its checks.
+
+The module has 2401 dimensions at the default p = 7, 14641 at p = 11 and
+28561 at p = 13.
 
 Covers: construction, bracket compatibility, restrictedness, the shifted
 Casimir invertibility scan over all central constants, and the truncated

@@ -34,7 +34,8 @@ class NonStandardCharacter(ValueError):
 
 
 class IncompatibleWeight(ValueError):
-    """lambda(h)^p - lambda(h) != chi(h)^p on the named simple coroot."""
+    """chi(h) != 0 on the named simple coroot: t^p = t on F_p, so
+    lambda(h)^p - lambda(h) = chi(h)^p has no solution there."""
 
     def __init__(self, coroot: int):
         super().__init__(f"no compatible weight value at simple coroot {coroot}")
@@ -47,7 +48,7 @@ MAX_MODULE_DIM = 2**15
 
 # largest module that is_irreducible tests: it holds d x d int64 arrays (the
 # Krylov matrix, theta, theta - c and an elimination copy), 134 MB each at
-# 2^12 and 1.7 GB at B2 p = 11 (d = 11^4); also the largest strong component
+# 2^12 and 1.7 GB at B2 p = 11 (d = 11^4); also the largest connected component
 # of a trimmed core whose block invertible_in_rep makes dense, and its square
 # the largest dense stack (tuples x cells) that the independence check eliminates
 MAX_DENSE_DIM = 2**12
@@ -55,9 +56,10 @@ MAX_DENSE_DIM = 2**12
 
 class ModuleTooLarge(ValueError):
     """The module has more than MAX_MODULE_DIM dimensions (baby_verma) or
-    more than MAX_DENSE_DIM (is_irreducible), or rho(u) has a strong
-    component of more than MAX_DENSE_DIM (invertible_in_rep), or the
-    independence stack more than MAX_DENSE_DIM^2 entries."""
+    more than MAX_DENSE_DIM (is_irreducible), or the trimmed core of rho(u)
+    has a connected component of more than MAX_DENSE_DIM vertices
+    (invertible_in_rep), or the independence stack more than MAX_DENSE_DIM^2
+    entries."""
 
 
 @dataclass
@@ -87,13 +89,9 @@ class Character:
 
 
 def compatible_lambdas(L: LieAlgebra, chi: Character) -> list[list[int]]:
-    """Per-coroot solution sets of t^p - t = chi(h)^p in F_p (0 or p values each)."""
-    p = L.p
-    out = []
-    for i in range(1, L.l + 1):
-        rhs = pow(chi.value(L.hpos(i)), p, p)
-        out.append([t for t in range(p) if (pow(t, p, p) - t) % p == rhs])
-    return out
+    """Per-coroot solution sets of t^p - t = chi(h)^p in F_p: t^p = t there,
+    so every t solves it if chi(h) = 0 and none does otherwise."""
+    return [[] if chi.value(L.hpos(i)) else list(range(L.p)) for i in range(1, L.l + 1)]
 
 
 def reduce(u: UEElement, chi: Character) -> UEElement:
@@ -180,7 +178,8 @@ def baby_verma(L: LieAlgebra, chi: Character, lam: dict[int, int]) -> MatrixRep:
     """Induce from a one-dimensional Borel module of weight lam.
 
     lam maps simple-coroot indices (1..l) to F_p values and must satisfy
-    lam(h)^p - lam(h) = chi(h)^p on every simple coroot.
+    lam(h)^p - lam(h) = chi(h)^p on every simple coroot, that is chi(h) = 0,
+    since t^p = t on F_p.
 
     The columns f^a v whose first factor is f_i0^e form the block
     e w_i0 + [0, w_i0), and x_g f_i0^e R v = f_i0 (x_g f_i0^(e-1) R v)
@@ -206,7 +205,7 @@ def baby_verma(L: LieAlgebra, chi: Character, lam: dict[int, int]) -> MatrixRep:
         raise ValueError(f"lambda keys {bad} are outside 1..{L.l}")
     lam = {i: lam.get(i, 0) % p for i in range(1, L.l + 1)}
     for i in range(1, L.l + 1):
-        if (pow(lam[i], p, p) - lam[i]) % p != pow(chi.value(L.hpos(i)), p, p):
+        if chi.value(L.hpos(i)):
             raise IncompatibleWeight(i)
     if p**m > MAX_MODULE_DIM:
         raise ModuleTooLarge(f"module dimension {p}^{m} exceeds the limit of {MAX_MODULE_DIM}")
@@ -340,8 +339,8 @@ def _trim(A: sp.csr_matrix, zero_diag: np.ndarray) -> np.ndarray | None:
     """Mask of the vertices left (the core) after deleting from A's
     off-diagonal nonzero pattern, round by round, every vertex with no
     in-edge or no out-edge among the vertices left (the trim of McLendon et
-    al. 2005), or None as soon as a deleted vertex, a strong component by
-    itself, is marked in zero_diag."""
+    al. 2005), or None as soon as a deleted vertex, which lies on no cycle,
+    is marked in zero_diag."""
     src = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
     dst = A.indices.astype(np.intp)  # numpy indexes faster with intp than int32
     off = src != dst
@@ -365,88 +364,58 @@ def _trim(A: sp.csr_matrix, zero_diag: np.ndarray) -> np.ndarray | None:
         src, dst = src[inner], dst[inner]
 
 
-def _strong_components(A: sp.csr_matrix) -> np.ndarray:
-    """Label of the strong component of each vertex of A's nonzero pattern
-    (Tarjan 1972), walked with an explicit stack, so that a long path needs
-    no recursion."""
-    n = A.shape[0]
-    ptr = A.indptr.tolist()
-    nbr = A.indices.tolist()
-    nxt = ptr[:-1]  # next edge to follow out of each vertex
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    labels = [-1] * n
-    stack: list[int] = []
-    count = ncomp = 0
-    for root in range(n):
-        if index[root] >= 0:
-            continue
-        index[root] = low[root] = count
-        count += 1
-        stack.append(root)
-        on_stack[root] = True
-        path = [root]
-        while path:
-            v = path[-1]
-            if nxt[v] < ptr[v + 1]:
-                w = nbr[nxt[v]]
-                nxt[v] += 1
-                if index[w] < 0:
-                    index[w] = low[w] = count
-                    count += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    path.append(w)
-                elif on_stack[w] and index[w] < low[v]:
-                    low[v] = index[w]
-                continue
-            path.pop()
-            if path and low[v] < low[path[-1]]:
-                low[path[-1]] = low[v]
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    labels[w] = ncomp
-                    if w == v:
-                        break
-                ncomp += 1
-    return np.array(labels, dtype=np.int64)
+def _components(A: sp.csr_matrix) -> np.ndarray:
+    """Label of the weakly connected component of each vertex of A's nonzero
+    pattern, the least vertex in it.  Each round hooks the labels at the two
+    ends of every edge onto the lesser one, then points every vertex at its
+    label's label (Shiloach & Vishkin 1982).  A label never rises, never
+    exceeds its vertex and never leaves its component, and some label falls
+    in every round until each edge joins equal labels: then every vertex of
+    a component carries one label, at most its least vertex, so that one."""
+    src = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    dst = A.indices.astype(np.intp)
+    label = np.arange(A.shape[0])
+    while True:
+        a, b = label[src], label[dst]
+        if (a == b).all():
+            return label
+        np.minimum.at(label, a, b)
+        np.minimum.at(label, b, a)
+        label = label[label]
 
 
 def invertible_in_rep(u: UEElement, rep: MatrixRep) -> bool:
     """True iff u acts invertibly on the module.
 
-    Ordering the strong components of rho(u)'s nonzero pattern topologically
-    is a symmetric permutation that makes rho(u) block upper triangular (Tarjan
-    1972), so rho(u) is invertible iff every diagonal block is.  Trimming the
-    pattern (_trim) deletes vertices that are components by themselves, 1x1
-    blocks read off the diagonal; the components of what is left, the core,
-    come from Tarjan's walk, their 1x1 blocks again read off the diagonal and
-    larger ones given an exact dense rank.  When no 1x1 block is zero, a
-    component of more than MAX_DENSE_DIM raises ModuleTooLarge before any
-    block is made dense."""
+    Trimming rho(u)'s off-diagonal pattern (_trim) deletes vertices that lie
+    on no cycle, so det rho(u) is the product of their diagonal entries times
+    the determinant of the block on what is left, the core; a zero among
+    those entries answers False at once.  No edge joins two weakly connected
+    components of the core, so its block is block-diagonal under them, and
+    each component (at least two vertices, since every core vertex has a
+    neighbour in the core) gets one exact dense rank.  A component of more
+    than MAX_DENSE_DIM raises ModuleTooLarge before any block is made dense.
+    Shifted Casimirs and Lee bodies have weight zero, so their components lie
+    in weight blocks (at most 37 vertices for the case-I bodies on the B2
+    p = 7 module).  An element that is not weight-homogeneous may join weight
+    blocks into a component above the limit on a module of more than
+    MAX_DENSE_DIM dimensions; no caller in modlie passes one."""
     A = evaluate(u, rep)
-    zero_diag = A.diagonal() == 0
-    alive = _trim(A, zero_diag)
+    alive = _trim(A, A.diagonal() == 0)
     if alive is None:
         return False
     core = np.flatnonzero(alive)
     if core.size == 0:
         return True
     A = A[core][:, core]
-    labels = _strong_components(A)
+    labels = _components(A)
     sizes = np.bincount(labels)
-    singletons = sizes[labels] == 1
-    if zero_diag[core][singletons].any():
-        return False
     if sizes.max() > MAX_DENSE_DIM:
         raise ModuleTooLarge(
-            f"invertibility test on a strong component of dimension {sizes.max()} exceeds the limit of {MAX_DENSE_DIM}"
+            f"invertibility test on a connected component of dimension {sizes.max()} exceeds the limit of {MAX_DENSE_DIM}"
         )
-    for comp in np.nonzero(sizes > 1)[0]:
-        idx = np.nonzero(labels == comp)[0]
+    for comp in np.flatnonzero(sizes):
+        idx = np.flatnonzero(labels == comp)
         if rank_mod_p(A[idx][:, idx].toarray(), rep.p) != idx.size:
             return False
     return True

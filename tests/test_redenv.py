@@ -16,13 +16,15 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from modlie.chevalley import build_chevalley
+from modlie.expr import to_ue
+from modlie.leebasis import build_case_I
 from modlie.linalg import rank_mod_p
 from modlie.pbw import UEElement, mono_degree, multiply
 from modlie.redenv import (
     Character,
     MatrixRep,
+    _components,
     _eigenvalues,
-    _strong_components,
     _trim,
     IncompatibleWeight,
     NonStandardCharacter,
@@ -190,6 +192,30 @@ def test_compatible_lambdas(a1_p5):
     assert compatible_lambdas(L, Character(L, {L.hpos(1): 2})) == [[]]
 
 
+@pytest.mark.parametrize("family, rank", [("A", 1), ("B", 2)])
+@pytest.mark.parametrize("p", [5, 7])
+def test_weight_compatibility_matches_brute_force(family, rank, p, monkeypatch):
+    # t^p - t = chi(h)^p solved by trying every t in F_p, on every value of
+    # chi on the coroots; MAX_MODULE_DIM = 0 stops baby_verma right after
+    # its weight check
+    import modlie.redenv as redenv
+
+    L = build_chevalley(build_root_system(family, rank), p, allow_small=True)
+    monkeypatch.setattr(redenv, "MAX_MODULE_DIM", 0)
+
+    def solves(t, v):
+        return (pow(t, p, p) - t) % p == pow(v, p, p)
+
+    for values in itertools.product(range(p), repeat=L.l):
+        chi = Character(L, {L.hpos(i): v for i, v in enumerate(values, 1)})
+        assert compatible_lambdas(L, chi) == [[t for t in range(p) if solves(t, v)] for v in values]
+        for lam in itertools.product(range(p), repeat=L.l):
+            bad = [i for i, (t, v) in enumerate(zip(lam, values), 1) if not solves(t, v)]
+            with pytest.raises(IncompatibleWeight if bad else redenv.ModuleTooLarge) as exc:
+                baby_verma(L, chi, dict(enumerate(lam, 1)))
+            assert not bad or exc.value.coroot == bad[0]
+
+
 def test_b2_small_prime_rep_invariants():
     L = build_chevalley(build_root_system("B", 2), 5, allow_small=True)
     chi = Character(L, {L.xpos(Root((-1, 0))): 1})
@@ -296,16 +322,6 @@ def test_invertibility_matches_dense_rank(family, rank, p):
     assert blocked >= 8 and 8 <= singular <= 40
 
 
-def trim_then_tarjan(A):
-    """Strong component labels of A's nonzero pattern as invertible_in_rep
-    finds them: each trimmed vertex alone, then Tarjan's walk on the core."""
-    n = A.shape[0]
-    core = np.flatnonzero(_trim(A, np.zeros(n, dtype=bool)))
-    labels = n + np.arange(n)
-    labels[core] = _strong_components(A[core][:, core])
-    return labels
-
-
 def partition(labels):
     return sorted(np.flatnonzero(labels == c).tolist() for c in np.unique(labels))
 
@@ -340,12 +356,30 @@ def sparse_patterns(draw, shape):
 @pytest.mark.parametrize("shape", ["random", "self_loops", "empty_rows", "long_cycle", "short_cycles", "dag"])
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
-def test_trim_then_tarjan_matches_csgraph(shape, data):
+def test_trim_then_components_matches_csgraph(shape, data, a1_p5):
     n, edges = data.draw(sparse_patterns(shape))
     rows, cols = (np.array(side, dtype=np.int64) for side in zip(*edges)) if edges else ([], [])
     A = sp.csr_matrix((np.ones(len(edges), dtype=np.int64), (rows, cols)), shape=(n, n))
-    _, expected = connected_components(A, directed=True, connection="strong")
-    assert partition(trim_then_tarjan(A)) == partition(expected)
+    # the blocks as invertible_in_rep finds them: each trimmed vertex alone,
+    # then the components of the core, each labelled by its least vertex
+    core = np.flatnonzero(_trim(A, np.zeros(n, dtype=bool)))
+    C = A[core][:, core]
+    labels, expected = n + np.arange(n), n + np.arange(n)
+    labels[core] = core[_components(C)]
+    expected[core] = connected_components(C, directed=True, connection="weak")[1]
+    assert partition(labels) == partition(expected)
+    assert (labels[labels[core]] == labels[core]).all() and (labels[core] <= core).all()
+    # every strong component lies in one block, so the blocks are exact
+    _, strong = connected_components(A, directed=True, connection="strong")
+    assert all(np.unique(labels[strong == c]).size == 1 for c in np.unique(strong))
+    # and their ranks decide invertibility: a module whose one generator has
+    # this pattern, entries drawn from F_5, plus a diagonal drawn from F_5
+    L = a1_p5
+    vals = data.draw(st.lists(st.integers(1, 4), min_size=len(edges), max_size=len(edges)))
+    diag = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    M = sp.csr_matrix((np.array(vals, dtype=np.int64), (rows, cols)), shape=(n, n)) + sp.diags(diag, dtype=np.int64)
+    rep = MatrixRep(L, 5, n, (), {0: M}, Character(L, {}), {})
+    assert invertible_in_rep(L.enveloping().gen(0), rep) == (rank_mod_p(M.toarray() % 5, 5) == n)
 
 
 def power_terms_element(U, rng, p):
@@ -966,7 +1000,7 @@ def test_invertible_in_rep_refuses_a_large_component_before_densifying(monkeypat
     import modlie.redenv as redenv
 
     # chi(f) = 1 makes rho(f) on the 7-dimensional A1 module one 7-cycle: a
-    # single strong component, invertible as a permutation matrix
+    # core of one component, invertible as a permutation matrix
     L = build_chevalley(build_root_system("A", 1), 7)
     rep = baby_verma(L, Character(L, {L.xpos(-E1): 1}), {1: 0})
     f = L.enveloping().gen(L.xpos(-E1))
@@ -989,7 +1023,7 @@ def test_invertibility_of_a_long_cycle_needs_no_recursion(monkeypatch):
     import modlie.redenv as redenv
 
     # chi(f) = 1 makes rho(f) on the 1009-dimensional A1 module one 1009-cycle:
-    # trimming deletes no vertex, and the core is one strong component
+    # trimming deletes no vertex, and the core is one component
     L = build_chevalley(build_root_system("A", 1), 1009)
     rep = baby_verma(L, Character(L, {L.xpos(-E1): 1}), {1: 0})
     f = L.enveloping().gen(L.xpos(-E1))
@@ -1007,6 +1041,24 @@ def test_invertibility_of_a_long_cycle_needs_no_recursion(monkeypatch):
             invertible_in_rep(f, rep)
     finally:
         sys.setrecursionlimit(limit)
+
+
+def test_case_i_body_cores_split_into_weight_blocks(b2_rep7):
+    # the case-I -e1+e2 and -e1-e2 bodies, signs (+, +) as check_lee_conditions
+    # picks them, have weight zero: each trimmed core splits into components
+    # inside weight blocks of at most p^(m - l) = 49 vertices
+    rep = b2_rep7
+    L = rep.algebra
+    bodies = {spec.target.label: spec.body for spec in build_case_I(L)}
+    weights = np.stack([rep.generators[L.hpos(i)].diagonal() for i in (1, 2)])
+    for label in ("-e1+e2", "-e1-e2"):
+        A = evaluate(to_ue(bodies[label], L.enveloping(), signs={1: 1, 2: 1}, c_value=0), rep)
+        core = np.flatnonzero(_trim(A, np.zeros(rep.dim, dtype=bool)))
+        labels = _components(A[core][:, core])
+        sizes = np.bincount(labels)
+        assert (core.size, np.count_nonzero(sizes), sizes.max()) == (2305, 117, 37)
+        # each vertex has the weights of its component's least vertex
+        assert np.array_equal(weights[:, core], weights[:, core[labels]])
 
 
 def test_b2_casimir_scan_loads_neither_csgraph_nor_scipy_linalg():
