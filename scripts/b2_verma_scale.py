@@ -28,9 +28,9 @@ from modlie.leebasis import (
 from modlie.redenv import (
     Character,
     baby_verma,
-    invertible_in_rep,
     rep_check_brackets,
     rep_check_restrictedness,
+    singular_constants,
 )
 from modlie.roots import build_root_system
 
@@ -63,7 +63,7 @@ def main() -> int:
     w = (h + 1) ** 2 + 4 * f * e
     singular = timed(
         "Casimir invertibility scan (all c)",
-        lambda: [c for c in range(p) if not invertible_in_rep(w + c, rep)],
+        lambda: singular_constants(w, rep),
     )
     print(f"{'singular constants':<42s} {singular}")
 

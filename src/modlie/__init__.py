@@ -23,6 +23,7 @@ from .redenv import (
     invertible_in_rep,
     is_irreducible,
     reduce,
+    singular_constants,
 )
 
 __version__ = "0.1.0"
@@ -54,5 +55,6 @@ __all__ = [
     "evaluate",
     "invertible_in_rep",
     "is_irreducible",
+    "singular_constants",
     "__version__",
 ]

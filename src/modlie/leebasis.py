@@ -36,7 +36,7 @@ from . import linalg, redenv
 from .chevalley import LieAlgebra, LieElement
 from .expr import Add, Const, Expr, Mul, Num, Pow, SignSlot, XAtom, HAtom, print_expr, to_ue
 from .pbw import UEElement, commutator, multiply, to_string, weight
-from .redenv import Character, ModuleTooLarge, baby_verma, invertible_in_rep, is_irreducible
+from .redenv import Character, ModuleTooLarge, baby_verma, is_irreducible, singular_constants
 from .roots import Root, cartan_integer
 
 
@@ -600,12 +600,14 @@ def verify_independence_truncated(cand: LeeCandidate, rep, bound: int, order=Non
     eliminated exactly, and any dependency comes back as an explicit
     coefficient combination: the tuple that first falls into the span of the
     earlier ones with coefficient 1, plus those earlier independent tuples.
-    A stack of more than MAX_DENSE_DIM^2 entries raises ModuleTooLarge
-    before it is allocated."""
+    An order that repeats a tuple raises ValueError; a stack of more than
+    MAX_DENSE_DIM^2 entries raises ModuleTooLarge before it is allocated."""
     p = cand.p
     tuples = cand.tuples_with_bound(bound) if order is None else list(order)
     for tup in tuples:
         cand.check_exponents(tup)
+    if len(set(tuples)) < len(tuples):
+        raise ValueError("order repeats an exponent tuple")
     F = [redenv.evaluate(cand.factor_element(j), rep) for j in range(cand.size)]
 
     def image(tup, X, act):
@@ -636,12 +638,7 @@ def verify_independence_truncated(cand: LeeCandidate, rep, bound: int, order=Non
     # pivot columns of S.T are the greedily independent tuples; each free
     # column's kernel vector is the unique dependency of that tuple on them
     kernel = linalg.kernel_mod_p(S.T, p)
-    witnesses = []
-    for v in kernel:
-        combo: dict = {}
-        for j in np.nonzero(v)[0][::-1]:  # the dependent tuple first
-            combo[tuples[j]] = (combo.get(tuples[j], 0) + int(v[j])) % p
-        witnesses.append({t: c for t, c in combo.items() if c})
+    witnesses = [{tuples[j]: int(v[j]) for j in np.nonzero(v)[0][::-1]} for v in kernel]  # dependent tuple first
     return IndependenceReport(
         count=len(tuples), rank=len(tuples) - len(kernel), tuples=tuples, witnesses=witnesses
     )
@@ -686,7 +683,7 @@ def check_lee_conditions(
     bound: int = 2,
 ) -> LeeConditionsReport:
     """Dimension, irreducibility, truncated independence, and the c-scan of
-    every parenthesis subexpression (singular values enumerated exactly)."""
+    every parenthesis subexpression (singular_constants of its body at c = 0)."""
     L = cand.algebra
     p = cand.p
     expected = p**L.m
@@ -700,7 +697,7 @@ def check_lee_conditions(
                 continue
             signs = res.solved[0] if res.solved else tuple([1] * spec.sign_slots)
             base = to_ue(spec.body, L.enveloping(), signs=dict(enumerate(signs, 1)), c_value=0)
-            singular = [c for c in range(p) if not invertible_in_rep(base + c, rep)]
+            singular = singular_constants(base, rep)
             scans[f"body[{spec.target.label}]"] = {
                 "singular": singular,
                 "invertible_choices": p - len(singular),

@@ -49,17 +49,16 @@ MAX_MODULE_DIM = 2**15
 # largest module that is_irreducible tests: it holds d x d int64 arrays (the
 # Krylov matrix, theta, theta - c and an elimination copy), 134 MB each at
 # 2^12 and 1.7 GB at B2 p = 11 (d = 11^4); also the largest connected component
-# of a trimmed core whose block invertible_in_rep makes dense, and its square
+# of a trimmed core whose block _dense_blocks makes dense, and its square
 # the largest dense stack (tuples x cells) that the independence check eliminates
 MAX_DENSE_DIM = 2**12
 
 
 class ModuleTooLarge(ValueError):
     """The module has more than MAX_MODULE_DIM dimensions (baby_verma) or
-    more than MAX_DENSE_DIM (is_irreducible), or the trimmed core of rho(u)
-    has a connected component of more than MAX_DENSE_DIM vertices
-    (invertible_in_rep), or the independence stack more than MAX_DENSE_DIM^2
-    entries."""
+    more than MAX_DENSE_DIM (is_irreducible), the trimmed core of rho(u) a
+    component of more than MAX_DENSE_DIM vertices (invertible_in_rep and
+    singular_constants), or the independence stack more than MAX_DENSE_DIM^2 entries."""
 
 
 @dataclass
@@ -384,29 +383,19 @@ def _components(A: sp.csr_matrix) -> np.ndarray:
         label = label[label]
 
 
-def invertible_in_rep(u: UEElement, rep: MatrixRep) -> bool:
-    """True iff u acts invertibly on the module.
-
-    Trimming rho(u)'s off-diagonal pattern (_trim) deletes vertices that lie
-    on no cycle, so det rho(u) is the product of their diagonal entries times
-    the determinant of the block on what is left, the core; a zero among
-    those entries answers False at once.  No edge joins two weakly connected
-    components of the core, so its block is block-diagonal under them, and
-    each component (at least two vertices, since every core vertex has a
-    neighbour in the core) gets one exact dense rank.  A component of more
-    than MAX_DENSE_DIM raises ModuleTooLarge before any block is made dense.
-    Shifted Casimirs and Lee bodies have weight zero, so their components lie
-    in weight blocks (at most 37 vertices for the case-I bodies on the B2
-    p = 7 module).  An element that is not weight-homogeneous may join weight
-    blocks into a component above the limit on a module of more than
-    MAX_DENSE_DIM dimensions; no caller in modlie passes one."""
-    A = evaluate(u, rep)
-    alive = _trim(A, A.diagonal() == 0)
-    if alive is None:
-        return False
+def _dense_blocks(A: sp.csr_matrix, alive: np.ndarray):
+    """A's blocks on the weakly connected components of the core (the mask
+    alive that _trim leaves), made dense one at a time; no edge joins two
+    components, so the core's block is block-diagonal under them.  A
+    component of more than MAX_DENSE_DIM raises ModuleTooLarge before any
+    block is made dense.  Shifted Casimirs and Lee bodies have weight zero,
+    so their components lie in weight blocks (at most 37 vertices for the
+    case-I bodies on the B2 p = 7 module); an element that is not
+    weight-homogeneous may join weight blocks into a component above the
+    limit on a module of more than MAX_DENSE_DIM dimensions."""
     core = np.flatnonzero(alive)
     if core.size == 0:
-        return True
+        return
     A = A[core][:, core]
     labels = _components(A)
     sizes = np.bincount(labels)
@@ -416,9 +405,36 @@ def invertible_in_rep(u: UEElement, rep: MatrixRep) -> bool:
         )
     for comp in np.flatnonzero(sizes):
         idx = np.flatnonzero(labels == comp)
-        if rank_mod_p(A[idx][:, idx].toarray(), rep.p) != idx.size:
-            return False
-    return True
+        yield A[idx][:, idx].toarray()
+
+
+def invertible_in_rep(u: UEElement, rep: MatrixRep) -> bool:
+    """True iff u acts invertibly on the module.
+
+    Trimming rho(u)'s off-diagonal pattern (_trim) deletes vertices that lie
+    on no cycle, so det rho(u) is the product of their diagonal entries times
+    the determinant of the block on what is left, the core; a zero among
+    those entries answers False at once.  Otherwise each block of the core
+    (_dense_blocks) gets one exact dense rank."""
+    A = evaluate(u, rep)
+    alive = _trim(A, A.diagonal() == 0)
+    return alive is not None and all(rank_mod_p(B, rep.p) == len(B) for B in _dense_blocks(A, alive))
+
+
+def singular_constants(u: UEElement, rep: MatrixRep) -> list[int]:
+    """The c in F_p, ascending, for which u + c does not act invertibly on
+    the module: the c where invertible_in_rep(u + c, rep) is False, from one
+    evaluate and one trim.  rho(u) + cI has rho(u)'s off-diagonal pattern,
+    so each trimmed vertex v is singular exactly at c = -rho(u)_vv, and only
+    the c that those leave open are ranked on the core's blocks."""
+    A, p = evaluate(u, rep), rep.p
+    alive = _trim(A, np.zeros(rep.dim, dtype=bool))
+    singular = set((-A.diagonal()[~alive] % p).tolist())
+    if len(singular) < p:
+        for B in _dense_blocks(A, alive):
+            eye = np.eye(len(B), dtype=np.int64)
+            singular.update([c for c in range(p) if c not in singular and rank_mod_p((B + c * eye) % p, p) < len(B)])
+    return sorted(singular)
 
 
 # -- representation invariants ------------------------------------------

@@ -305,12 +305,12 @@ def test_independence_bound_two_full_rank(partial_candidate, b2_rep7):
 
 
 def test_dependencies_get_witnesses(partial_candidate, b2_rep7):
-    # duplicating a tuple forces a dependency with an explicit certificate
+    # a repeated tuple would depend on its earlier copy with the empty witness
+    # {}, which names nothing, so an order that repeats one is refused; the
+    # witnesses of real dependencies are pinned on the zero module below
     tuples = partial_candidate.tuples_with_bound(1)
-    rigged = tuples + [tuples[-1]]
-    rpt = verify_independence_truncated(partial_candidate, b2_rep7, 1, order=rigged)
-    assert rpt.rank == len(tuples)
-    assert len(rpt.witnesses) == 1
+    with pytest.raises(ValueError, match="repeats an exponent tuple"):
+        verify_independence_truncated(partial_candidate, b2_rep7, 1, order=tuples + [tuples[-1]])
 
 
 def test_zero_rep_dependencies_pinned(b2_p7, partial_candidate):

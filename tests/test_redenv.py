@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from modlie.chevalley import build_chevalley
-from modlie.expr import to_ue
-from modlie.leebasis import build_case_I
+from modlie.expr import Add, to_ue
+from modlie.leebasis import build_case_I, build_case_II, case_alpha, solve_signs
 from modlie.linalg import rank_mod_p
 from modlie.pbw import UEElement, mono_degree, multiply
 from modlie.redenv import (
@@ -37,6 +37,7 @@ from modlie.redenv import (
     reduce,
     rep_check_brackets,
     rep_check_restrictedness,
+    singular_constants,
 )
 from modlie.roots import Root, build_root_system
 
@@ -380,6 +381,10 @@ def test_trim_then_components_matches_csgraph(shape, data, a1_p5):
     M = sp.csr_matrix((np.array(vals, dtype=np.int64), (rows, cols)), shape=(n, n)) + sp.diags(diag, dtype=np.int64)
     rep = MatrixRep(L, 5, n, (), {0: M}, Character(L, {}), {})
     assert invertible_in_rep(L.enveloping().gen(0), rep) == (rank_mod_p(M.toarray() % 5, 5) == n)
+    eye = np.eye(n, dtype=np.int64)
+    assert singular_constants(L.enveloping().gen(0), rep) == [
+        c for c in range(5) if rank_mod_p((M.toarray() + c * eye) % 5, 5) < n
+    ]
 
 
 def power_terms_element(U, rng, p):
@@ -978,6 +983,14 @@ def test_casimir_scan_forms_each_suffix_once_per_module(monkeypatch, b2_p7):
         singular = [[c for c in range(7) if not invertible_in_rep(w + c, rep)] for w in casimirs]
         assert singular == [[0, 3, 5, 6]] * 2
         assert len(products) == expected
+    # singular_constants evaluates each Casimir once, from the warm memo
+    import modlie.redenv as redenv
+
+    evaluated = []
+    monkeypatch.setattr(redenv, "evaluate", lambda u, rep: evaluated.append(u) or evaluate(u, rep))
+    products.clear()
+    assert [singular_constants(w, rep) for w in casimirs] == [[0, 3, 5, 6]] * 2
+    assert len(products) == 0 and evaluated == casimirs
 
 
 def test_repeat_irreducibility_test_forms_no_product(monkeypatch):
@@ -1014,9 +1027,14 @@ def test_invertible_in_rep_refuses_a_large_component_before_densifying(monkeypat
     monkeypatch.setattr(sp.csr_matrix, "toarray", forbidden)
     with pytest.raises(redenv.ModuleTooLarge, match=r"dimension 7 exceeds the limit of 6"):
         invertible_in_rep(f, rep)
+    # no c is singular on a trimmed vertex, so the scan ranks the same block
+    with pytest.raises(redenv.ModuleTooLarge, match=r"dimension 7 exceeds the limit of 6"):
+        singular_constants(f, rep)
     monkeypatch.undo()
     monkeypatch.setattr(redenv, "MAX_DENSE_DIM", 7)
     assert invertible_in_rep(f, rep)
+    # rho(f)^7 = chi(f)^7 = 1, so rho(f) + c is singular only at -c = 1
+    assert singular_constants(f, rep) == [c for c in range(7) if not invertible_in_rep(f + c, rep)] == [6]
 
 
 def test_invertibility_of_a_long_cycle_needs_no_recursion(monkeypatch):
@@ -1061,6 +1079,31 @@ def test_case_i_body_cores_split_into_weight_blocks(b2_rep7):
         assert np.array_equal(weights[:, core], weights[:, core[labels]])
 
 
+@pytest.mark.parametrize("p, expected", [(7, [0, 3, 5, 6]), (11, [0, 2, 6, 7, 8, 10])])
+def test_singular_constants_match_the_per_c_loop_on_b2(p, expected, b2_rs):
+    # both shifted Casimirs and every Add body of cases I and II, signs as
+    # check_lee_conditions picks them, on the module with chi(x(-e1)) = 1 and
+    # lambda = 0: case-I -e1 and case-II -e1+e2 share the Casimirs' set, and
+    # every other body is singular at every c on a trimmed vertex
+    L = build_chevalley(b2_rs, p)
+    rep = baby_verma(L, Character(L, {L.xpos(Root((-1, 0))): 1}), {1: 0, 2: 0})
+    U = L.enveloping()
+    elements = {}
+    for case, build in (("I", build_case_I), ("II", build_case_II)):
+        e, h, f = (U.from_lie(x) for x in L.sl2_triple(case_alpha(L, case)))
+        elements[f"Casimir {case}"] = (h + 1) ** 2 + 4 * f * e
+        for spec in build(L):
+            if spec.status == "ok" and isinstance(spec.body, Add):
+                res = solve_signs(spec, L)
+                signs = res.solved[0] if res.solved else (1,) * spec.sign_slots
+                elements[f"{case} {spec.target.label}"] = to_ue(spec.body, U, signs=dict(enumerate(signs, 1)), c_value=0)
+    got = {name: singular_constants(w, rep) for name, w in elements.items()}
+    assert got == {name: [c for c in range(p) if not invertible_in_rep(w + c, rep)] for name, w in elements.items()}
+    shared = ("Casimir I", "Casimir II", "I -e1", "II -e1+e2")
+    assert got == {name: expected if name in shared else list(range(p)) for name in elements}
+    assert len(elements) == 8
+
+
 def test_b2_casimir_scan_loads_neither_csgraph_nor_scipy_linalg():
     # trimming alone decides every shifted Casimir of the 2401-dimensional
     # module; scipy.sparse.csgraph (which loads scipy.linalg) costs about 11 MB
@@ -1070,7 +1113,7 @@ def test_b2_casimir_scan_loads_neither_csgraph_nor_scipy_linalg():
         import modlie
         from modlie.chevalley import build_chevalley
         from modlie.leebasis import case_alpha
-        from modlie.redenv import Character, baby_verma, invertible_in_rep
+        from modlie.redenv import Character, baby_verma, invertible_in_rep, singular_constants
         from modlie.roots import build_root_system
 
         L = build_chevalley(build_root_system("B", 2), 7)
@@ -1081,6 +1124,7 @@ def test_b2_casimir_scan_loads_neither_csgraph_nor_scipy_linalg():
             e, h, f = (U.from_lie(x) for x in L.sl2_triple(case_alpha(L, case)))
             w = (h + 1) ** 2 + 4 * f * e
             singular[case] = [c for c in range(7) if not invertible_in_rep(w + c, rep)]
+            singular["scan " + case] = singular_constants(w, rep)
         loaded = [name for name in ("scipy.sparse.csgraph", "scipy.linalg") if name in sys.modules]
         print(json.dumps({"singular": singular, "loaded": loaded}))
         """
@@ -1090,5 +1134,5 @@ def test_b2_casimir_scan_loads_neither_csgraph_nor_scipy_linalg():
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     out = json.loads(done.stdout)
-    assert out["singular"] == {"I": [0, 3, 5, 6], "II": [0, 3, 5, 6]}
+    assert out["singular"] == {name: [0, 3, 5, 6] for name in ("I", "II", "scan I", "scan II")}
     assert out["loaded"] == []
