@@ -2,7 +2,7 @@
 
 Grammar (whitespace separates tokens; juxtaposition multiplies):
 
-    element := term (('+' | '-') term)*
+    element := '-'? term (('+' | '-') term)*
     term    := factor ('*'? factor)*
     factor  := atom ('^' nat)?
     atom    := 'x(' roots ')' | 'h(' roots ')' | 'h(' nat ')' | int
@@ -10,8 +10,8 @@ Grammar (whitespace separates tokens; juxtaposition multiplies):
     roots   := sterm (('+' | '-') sterm)*     # first sign optional
     sterm   := nat? 'e' nat                   # optional integer multiplier
 
-``h(i)`` with a bare integer denotes the i-th simple coroot; ``h(<roots>)``
-denotes the coroot attached to that root.  Parse errors carry line/column.
+``h(i)`` with a bare integer denotes the i-th simple coroot, 1 <= i <= rank;
+``h(<roots>)`` denotes the coroot attached to that root.  Parse errors carry line/column.
 
 Template-only nodes (Const, SignSlot) are printable and evaluable but not
 parseable; they appear in generated verification templates, where a sign
@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chevalley import LieElement
-from .pbw import commutator as ue_comm
 from .roots import Root, RootSystem
 
 
@@ -142,7 +141,7 @@ class _Scanner:
         return int(self.text[start : self.pos])
 
 
-def _parse_roots(s: _Scanner, rank_hint: int | None) -> tuple[int, ...]:
+def _parse_roots(s: _Scanner) -> tuple[int, ...]:
     entries: list[tuple[int, int]] = []  # (index, coefficient)
     first = True
     while True:
@@ -162,15 +161,16 @@ def _parse_roots(s: _Scanner, rank_hint: int | None) -> tuple[int, ...]:
                 s.error("expected 'e<index>'")
             s.error("expected 'e<index>' after sign")
         s.pos += 1
+        s.skip_ws()
+        at = s.pos
         idx = s.nat()
+        if idx < 1:
+            s.error("expected an index >= 1", at)
         entries.append((idx, sign * mult))
         first = False
         if s.peek() not in "+-":
             break
-    dim = max(i for i, _ in entries)
-    if rank_hint is not None:
-        dim = max(dim, rank_hint)
-    coords = [0] * dim
+    coords = [0] * max(i for i, _ in entries)
     for i, c in entries:
         coords[i - 1] += c
     return tuple(coords)
@@ -199,17 +199,17 @@ class _Parser:
         return e
 
     def element(self) -> Expr:
-        items = [self.term()]
+        items = []
+        sign = "-" if self.s.peek() == "-" else ""  # only '-' may lead
         while True:
-            ch = self.s.peek()
-            if ch == "+":
+            if sign:
                 self.s.pos += 1
-                items.append(self.term())
-            elif ch == "-":
-                self.s.pos += 1
-                t = self.term()
-                items.append(Mul((Num(-1), t)) if not isinstance(t, Num) else Num(-t.value))
-            else:
+            t = self.term()
+            if sign == "-":
+                t = Num(-t.value) if isinstance(t, Num) else Mul((Num(-1), t))
+            items.append(t)
+            sign = self.s.peek()
+            if sign not in ("+", "-"):
                 break
         return items[0] if len(items) == 1 else Add(tuple(items))
 
@@ -234,17 +234,17 @@ class _Parser:
             return Pow(a, n)
         return a
 
+    def _unknown(self, what: str, start: int):
+        line, col = self.s.loc(start)
+        raise UnknownRoot(f"{what} of {self.rs.family}{self.rs.rank} at line {line}, column {col}")
+
     def _root_coords(self, what: str) -> tuple[int, ...]:
         start = self.s.pos
-        coords = _parse_roots(self.s, self.rs.dim if self.rs else None)
+        coords = _parse_roots(self.s)
         if self.rs is not None:
             fitted = _fit(coords, self.rs.dim)
             if fitted is None or Root(fitted) not in self.rs:
-                line, col = self.s.loc(start)
-                raise UnknownRoot(
-                    f"{what} names no root of {self.rs.family}{self.rs.rank}"
-                    f" at line {line}, column {col}"
-                )
+                self._unknown(f"{what} names no root", start)
             return fitted
         return coords
 
@@ -265,6 +265,8 @@ class _Parser:
             if self.s.pos < len(self.s.text) and self.s.text[self.s.pos].isdigit():
                 n = self.s.nat()
                 if self.s.peek() == ")":
+                    if self.rs is not None and not 1 <= n <= self.rs.rank:
+                        self._unknown(f"h({n}) names no simple coroot", save)
                     self.s.take(")")
                     return HAtom(simple=n)
                 self.s.pos = save
@@ -393,7 +395,8 @@ def to_ue(e: Expr, uea, signs: dict[int, int] | None = None, c_value: int = 0):
         if isinstance(node, Pow):
             return ev(node.base) ** node.exp
         if isinstance(node, Brk):
-            return ue_comm(ev(node.lhs), ev(node.rhs))
+            a, b = ev(node.lhs), ev(node.rhs)
+            return a * b - b * a
         raise TypeError(f"unknown node {node!r}")
 
     return ev(e)

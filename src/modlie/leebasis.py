@@ -72,10 +72,7 @@ class ABSpec:
     def display(self) -> str:
         if self.status != "ok":
             return f"<{self.status}: {self.reason}>"
-        body = print_expr(self.body)
-        if self.prefactor is None:
-            return body
-        return f"{print_expr(self.prefactor)} ({body})"
+        return print_expr(self.expression())
 
     def expression(self) -> Expr:
         if self.prefactor is None:

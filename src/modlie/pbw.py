@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chevalley import LieAlgebra, LieElement, MixedAlgebras
+from .expr import Add, HAtom, Mul, Num, Pow, XAtom, print_expr
 
 Mono = tuple[tuple[int, int], ...]
 
@@ -225,25 +226,17 @@ def weight(u: UEElement) -> tuple[int, ...] | None:
 
 
 def to_string(u: UEElement) -> str:
-    """Deterministic normal-form text: monomials sorted, unit coefficients and
-    unit exponents suppressed, e.g. ``x(-e1) x(+e1) + h(e1)``."""
-    if not u.terms:
-        return "0"
+    """Deterministic normal-form text, printed by `expr.print_expr`: monomials
+    sorted, unit coefficients and exponents suppressed, e.g. ``x(-e1) x(+e1) + h(e1)``."""
     lie = u.uea.lie
-    pieces = []
+    terms = []
     for m in sorted(u.terms):
         c = u.terms[m]
-        factors = " ".join(
-            lie.basis[pos].label + (f"^{e}" if e > 1 else "") for pos, e in m
-        )
-        pieces.append((c, factors))
-    parts = []
-    for k, (c, factors) in enumerate(pieces):
-        neg = c < 0
-        mag = abs(c)
-        body = factors if (mag == 1 and factors) else (f"{mag} {factors}".strip())
-        if k == 0:
-            parts.append(f"-{body}" if neg else body)
-        else:
-            parts.append(f"- {body}" if neg else f"+ {body}")
-    return " ".join(parts)
+        factors = [Num(abs(c))] if abs(c) != 1 or not m else []
+        for pos, e in m:
+            b = lie.basis[pos]
+            atom = XAtom(b.root.coords) if b.kind == "x" else HAtom(coords=lie.rs.base[b.coroot - 1].coords)
+            factors.append(Pow(atom, e) if e > 1 else atom)
+        term = factors[0] if len(factors) == 1 else Mul(tuple(factors))
+        terms.append(Mul((Num(-1), term)) if c < 0 else term)
+    return print_expr(Add(tuple(terms))) if terms else "0"

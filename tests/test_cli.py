@@ -121,6 +121,18 @@ BAD_INPUTS = [
     (["check-subalgebra", "--span", "x(+e1)", "--extend-h", "x(+e2)"], None, "coroot span"),
     (["irreducible", "--family", "A", "--rank", "1", "--p", "7", "--chi", "2=1"], None, "not an element of A1"),
     (["verify-lee", "--p", "0"], None, "over F_p"),
+    (["normalform", "x(e0)", "--family", "B", "--rank", "2", "--p", "7"], None, "index >= 1"),
+    (["normalform", "h(3)", "--family", "B", "--rank", "2", "--p", "7"], None, "names no simple coroot"),
+    (["normalform", "h(0)", "--family", "B", "--rank", "2", "--p", "7"], None, "names no simple coroot"),
+    (["baby-verma", "--family", "B", "--rank", "2", "--p", "7", "--chi", "h(3)=1"], None, "bad basis token"),
+    (["baby-verma", "--family", "B", "--rank", "2", "--p", "7", "--lambda", "h(0)=1"], None, "bad basis token"),
+    (["check-subalgebra", "--family", "B", "--rank", "2", "--p", "7", "--span", "h(5)"], None, "names no simple coroot"),
+    (
+        ["check-subalgebra", "--family", "B", "--rank", "2", "--p", "7",
+         "--span", "x(+e1)", "--extend-h", "h(9)"],
+        None,
+        "names no simple coroot",
+    ),
 ]
 
 

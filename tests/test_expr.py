@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ from modlie.expr import (
     to_lie,
     to_ue,
 )
+from modlie.chevalley import build_chevalley
 from modlie.pbw import to_string
 from modlie.roots import Root, build_root_system
 
@@ -67,6 +70,23 @@ def test_unknown_root(a1_rs):
         parse("x(+e1+e2)", a1_rs)
     with pytest.raises(UnknownRoot):
         parse("x(+3e1)", a1_rs)
+
+
+def test_root_index_zero_is_a_parse_error(b2_rs):
+    for text, col in (("x(e0)", 4), ("x(-e0+e1)", 5), ("h(e1+e0)", 7)):
+        with pytest.raises(ParseError, match="index >= 1") as exc:
+            parse(text, b2_rs)
+        assert (exc.value.line, exc.value.col) == (1, col)
+
+
+def test_leading_minus_matches_an_inner_one(b2_rs):
+    x1 = XAtom((1, 0))
+    assert parse("-3", b2_rs) == Num(-3)
+    assert parse("-x(+e1) - 3", b2_rs) == Add((Mul((Num(-1), x1)), Num(-3)))
+    assert parse("0 - x(+e1)", b2_rs).items[1] == parse("-x(+e1)", b2_rs)
+    assert parse("[-x(+e1), x(+e1)]", b2_rs) == Brk(Mul((Num(-1), x1)), x1)
+    with pytest.raises(ParseError):
+        parse("+x(+e1)", b2_rs)
 
 
 def test_c_family_coefficient_roots():
@@ -153,3 +173,25 @@ def test_roundtrip_on_fixed_corpus(b2_rs):
     for text in corpus:
         e = parse(text, b2_rs)
         assert parse(print_expr(e), b2_rs) == e
+
+
+@functools.cache
+def _algebra(family, rank, p):
+    return build_chevalley(build_root_system(family, rank), p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_printed_normal_form_reparses_to_the_element(data):
+    """to_string(u) parses back to u, negative leading coefficients at p = 0 included."""
+    family, rank = data.draw(st.sampled_from([("A", 2), ("B", 2)]))
+    L = _algebra(family, rank, data.draw(st.sampled_from([0, 7])))
+    U = L.enveloping()
+    u = U.zero()
+    for _ in range(data.draw(st.integers(1, 4))):
+        term = U.scalar(data.draw(st.sampled_from([-3, -2, -1, 1, 2, 5])))
+        for pos in data.draw(st.lists(st.integers(0, L.n - 1), max_size=3)):
+            term = term * U.gen(pos)
+        u = u + term
+    text = to_string(u)
+    assert to_ue(parse(text, L.rs), U) == u, text

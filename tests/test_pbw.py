@@ -49,6 +49,11 @@ def test_normalform_string_a1(a1_p7):
     e1 = Root((1,))
     out = multiply(U.from_lie(a1_p7.x(e1)), U.from_lie(a1_p7.x(-e1)))
     assert to_string(out) == "x(-e1) x(+e1) + h(e1)"
+    # at p = 0 a coefficient keeps its sign, and the first term may be negative
+    L0 = build_chevalley(a1_p7.rs, 0)
+    U0 = L0.enveloping()
+    out0 = multiply(U0.from_lie(L0.x(e1)), U0.from_lie(L0.x(-e1))) * -1
+    assert to_string(out0) == "-x(-e1) x(+e1) - h(e1)"
 
 
 def test_unit_law(b2_p7):
