@@ -141,8 +141,9 @@ class _Scanner:
         return int(self.text[start : self.pos])
 
 
-def _parse_roots(s: _Scanner) -> tuple[int, ...]:
-    entries: list[tuple[int, int]] = []  # (index, coefficient)
+def _parse_roots(s: _Scanner) -> dict[int, int]:
+    """The net coefficient of each index e<i> read, i >= 1."""
+    coefs: dict[int, int] = {}
     first = True
     while True:
         sign = 1
@@ -166,14 +167,11 @@ def _parse_roots(s: _Scanner) -> tuple[int, ...]:
         idx = s.nat()
         if idx < 1:
             s.error("expected an index >= 1", at)
-        entries.append((idx, sign * mult))
+        coefs[idx] = coefs.get(idx, 0) + sign * mult
         first = False
         if s.peek() not in "+-":
             break
-    coords = [0] * max(i for i, _ in entries)
-    for i, c in entries:
-        coords[i - 1] += c
-    return tuple(coords)
+    return coefs
 
 
 def _fit(coords: tuple[int, ...], dim: int) -> tuple[int, ...] | None:
@@ -239,13 +237,18 @@ class _Parser:
         raise UnknownRoot(f"{what} of {self.rs.family}{self.rs.rank} at line {line}, column {col}")
 
     def _root_coords(self, what: str) -> tuple[int, ...]:
+        """Coordinates of the roots read: as many as the system's dimension,
+        or without a system as the largest index read.  An index above the
+        dimension with a nonzero net coefficient names no root, and is
+        refused before any coordinates are built."""
         start = self.s.pos
-        coords = _parse_roots(self.s)
-        if self.rs is not None:
-            fitted = _fit(coords, self.rs.dim)
-            if fitted is None or Root(fitted) not in self.rs:
-                self._unknown(f"{what} names no root", start)
-            return fitted
+        coefs = _parse_roots(self.s)
+        dim = max(coefs) if self.rs is None else self.rs.dim
+        if any(c and i > dim for i, c in coefs.items()):
+            self._unknown(f"{what} names no root", start)
+        coords = tuple(coefs.get(i, 0) for i in range(1, dim + 1))
+        if self.rs is not None and Root(coords) not in self.rs:
+            self._unknown(f"{what} names no root", start)
         return coords
 
     def atom(self) -> Expr:

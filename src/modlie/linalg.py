@@ -5,6 +5,14 @@ is below p^2, so a sum of n of them -- a matrix product over an axis of
 length n -- stays exact only while p^2 * n < 2^63; `check_int64_sum` enforces
 this wherever such a sum is taken, and every F_p routine checks n = 1, so a p
 above about 3.04e9 is refused rather than silently wrapped.
+
+`_echelon`, the one bulk eliminator, works on column panels of W =
+min(PANEL, int64_terms(p)) columns with delayed reduction (Dumas, Giorgi &
+Pernet, ACM TOMS 35(3), 2008), in int64 products and never in floating
+point: greedy one-pivot elimination inside the panel, then one forward
+substitution for the panel's pivot rows, one product for the rows below and
+one reduction mod p for all the columns after it.  W falls to 1 near
+p = 3.04e9, and a matrix narrower than 2 W columns is one panel.
 """
 
 from __future__ import annotations
@@ -22,37 +30,76 @@ class Int64Overflow(ValueError):
     """p is too large for exact int64 arithmetic on residues."""
 
 
+def int64_terms(p: int) -> int:
+    """The most products of residues mod p whose sum is exact in int64."""
+    return (2**63 - 1) // (p * p)
+
+
 def check_int64_sum(p: int, n: int) -> None:
     """Raise Int64Overflow unless n products of residues mod p sum exactly in int64."""
-    if p * p * n >= 2**63:
+    if n > int64_terms(p):
         raise Int64Overflow(f"p^2 * n = {p}^2 * {n} exceeds the int64 range")
 
 
+PANEL = 64  # columns per panel of _echelon (the last takes the remainder); int64_terms(p) may narrow it
+
+
 def _echelon(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Row echelon form of A over F_p by vectorized forward elimination.
+    """Row echelon form of A over F_p by forward elimination in column panels.
     Returns the reduced copy and its pivot columns; pivot row i leads with a 1
-    in column pivots[i], and the rows below the pivots are zero."""
+    in column pivots[i], and the rows below the pivots are zero.
+
+    Each panel of W columns (the last one takes a remainder shorter than W) is
+    eliminated one pivot at a time, taking the first row with a nonzero entry,
+    so the pivots are the greedy column rank profile and the result is the
+    one-pivot loop's.  A row's multiplier for a pivot stays in the pivot's
+    column, so it moves with the row on a swap, until the columns after the
+    panel are updated at once and the multipliers are cleared.  A sum of W
+    residue products is exact in int64, so each update needs one % p."""
     check_int64_sum(p, 1)
     M = np.array(A, dtype=np.int64, copy=True)
     M %= p
     nrows, ncols = M.shape
+    width = min(PANEL, int64_terms(p))
     pivots: list[int] = []
-    for c in range(ncols):
-        r = len(pivots)
-        if r == nrows:
-            break
-        nz = np.nonzero(M[r:, c])[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            M[[r, piv], :] = M[[piv, r], :]
-        M[r, c:] = (M[r, c:] * inv_mod(M[r, c], p)) % p
-        rows = np.nonzero(M[r + 1 :, c])[0]
-        if rows.size:
-            idx = rows + r + 1
-            M[idx, c:] = (M[idx, c:] - np.outer(M[idx, c], M[r, c:])) % p
-        pivots.append(c)
+    c0 = 0
+    while c0 < ncols and len(pivots) < nrows:
+        c1 = c0 + width if ncols - c0 >= 2 * width else ncols
+        r0 = len(pivots)
+        scales = []
+        for c in range(c0, c1):
+            r = len(pivots)
+            if r == nrows:
+                break
+            nz = np.nonzero(M[r:, c])[0]
+            if nz.size == 0:
+                continue
+            piv = r + int(nz[0])
+            if piv != r:
+                M[[r, piv], :] = M[[piv, r], :]
+            scales.append(inv_mod(M[r, c], p))
+            M[r, c:c1] = (M[r, c:c1] * scales[-1]) % p
+            rows = np.nonzero(M[r + 1 :, c])[0]
+            if rows.size:
+                idx = rows + r + 1
+                M[idx, c + 1 : c1] = (M[idx, c + 1 : c1] - np.outer(M[idx, c], M[r, c + 1 : c1])) % p
+            pivots.append(c)
+        cols = pivots[r0:]
+        if cols and c1 < ncols:
+            top = M[r0 : len(pivots), c1:]  # a view: the pivot rows, by forward substitution
+            for j, s in enumerate(scales):
+                top[j] = (top[j] - M[r0 + j, cols[:j]] @ top[:j]) % p * s % p
+            below = M[len(pivots) :, cols]
+            hit = np.flatnonzero(below.any(axis=1))
+            if hit.size:
+                idx = hit + len(pivots)
+                rest = M[idx, c1:]
+                rest -= below[hit] @ top
+                rest %= p
+                M[idx, c1:] = rest
+        for j, c in enumerate(cols):
+            M[r0 + j + 1 :, c] = 0
+        c0 = c1
     return M, pivots
 
 
@@ -101,8 +148,7 @@ class DenseEchelon:
         v = np.array(vec, dtype=np.int64, copy=True) % self.p
         coef = v[self.pivots]
         hit = np.flatnonzero(coef)
-        # each partial sum of coef @ rows adds at most `step` residue products
-        step = (2**63 - 1) // (self.p * self.p)
+        step = int64_terms(self.p)  # residue products per exact partial sum of coef @ rows
         for s in range(0, hit.size, step):
             part = hit[s : s + step]
             v = (v - coef[part] @ self._rows[part]) % self.p

@@ -316,18 +316,48 @@ def _monomial_matrix(mono: Mono, rep: MatrixRep) -> sp.csr_matrix:
     return M
 
 
+def _diagonal(M: sp.csr_matrix) -> np.ndarray | None:
+    """M's diagonal if every stored entry of M lies on it, else None: the
+    diagonal has as many nonzeros as M stores entries only if each entry sits
+    alone at its own diagonal position."""
+    if M.nnz > M.shape[0]:
+        return None
+    diag = M.diagonal()
+    return diag if np.count_nonzero(diag) == M.nnz else None
+
+
 def evaluate(u: UEElement, rep: MatrixRep) -> sp.csr_matrix:
     """Image of u under the algebra homomorphism extending the generator
     matrices: the sum of c rho(m) over the monomials c m of reduce(u, rep.chi),
-    with monomials that share a suffix sharing its product, summed by sparse
-    additions into a canonical CSR matrix (entries below p, no stored zeros,
-    sorted column indices).  This is the one way from U(L) to matrices."""
+    with monomials that share a suffix sharing its product, as a canonical
+    int64 CSR matrix (entries below p, no stored zeros, sorted column
+    indices).  The terms whose matrix is diagonal (the constant, and the
+    coroot monomials on a baby Verma module) add into one vector, which is
+    one sparse addition; the others are summed by sparse additions from the
+    first of them.  This is the one way from U(L) to matrices."""
     if u.uea.lie is not rep.algebra:
         raise MixedAlgebras("element and representation over different algebras")
     check_int64_sum(rep.p, rep.dim)  # each product sums dim residue products
-    total = sp.csr_matrix((rep.dim, rep.dim), dtype=np.int64)
+    diag = np.zeros(rep.dim, dtype=np.int64)
+    total = None  # the sum of c rho(m) over the monomials m whose matrix is not diagonal
     for mono, c in reduce(u, rep.chi).terms.items():
-        total = total + c * (_monomial_matrix(mono, rep) if mono else rep.identity())
+        if not mono:
+            diag = (diag + c) % rep.p
+            continue
+        M = _monomial_matrix(mono, rep)
+        D = _diagonal(M)
+        if D is not None:
+            diag = (diag + c * D) % rep.p
+        elif total is None:
+            total = (c * M).astype(np.int64, copy=False)  # a copy: the memo's matrix is never written
+        else:
+            total = total + c * M
+    if diag.any():
+        line = np.arange(rep.dim + 1)
+        D = sp.csr_matrix((diag, line[:-1], line), shape=(rep.dim, rep.dim))
+        total = D if total is None else total + D
+    if total is None:
+        return sp.csr_matrix((rep.dim, rep.dim), dtype=np.int64)
     total.data %= rep.p
     total.eliminate_zeros()
     total.sum_duplicates()  # sorts the column indices of every row

@@ -133,6 +133,7 @@ BAD_INPUTS = [
         None,
         "names no simple coroot",
     ),
+    (["normalform", "--family", "B", "--rank", "2", "--p", "7", "x(e10000000000)"], None, "x(...) names no root of B2"),
 ]
 
 

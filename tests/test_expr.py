@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -77,6 +78,21 @@ def test_root_index_zero_is_a_parse_error(b2_rs):
         with pytest.raises(ParseError, match="index >= 1") as exc:
             parse(text, b2_rs)
         assert (exc.value.line, exc.value.col) == (1, col)
+
+
+def test_a_huge_root_index_is_refused_without_its_coordinates(b2_rs):
+    # the coefficients are summed per index, so an index far above the
+    # system's dimension costs no memory before it is refused
+    tracemalloc.start()
+    try:
+        with pytest.raises(UnknownRoot, match="names no root of B2 at line 1, column 3"):
+            parse("x(e5000000)", b2_rs)
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
+    # an index above the dimension whose net coefficient is zero names nothing
+    assert parse("x(e1 + e9 - e9)", b2_rs) == XAtom((1, 0))
+    assert parse("x(e1 + e3 - e3)") == XAtom((1, 0, 0))
 
 
 def test_leading_minus_matches_an_inner_one(b2_rs):

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from modlie.linalg import (
+    PANEL,
     DenseEchelon,
     Int64Overflow,
     FractionEchelon,
+    _echelon,
     check_int64_sum,
+    int64_terms,
     kernel_mod_p,
     rank_mod_p,
 )
@@ -169,3 +172,77 @@ def test_elimination_exact_just_below_the_int64_bound():
         ech = DenseEchelon(p)
         assert all(ech.insert(np.array(row)) for row in base)
         assert all(ech.contains(np.array(row)) for row in combos)
+
+
+def one_pivot_echelon(A, p):
+    """Reference for _echelon: one pivot at a time, each rewriting every
+    column after it in the rows below with an outer product and a % p."""
+    M = np.array(A, dtype=np.int64, copy=True) % p
+    nrows, ncols = M.shape
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        nz = np.nonzero(M[r:, c])[0]
+        if nz.size == 0:
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            M[[r, piv], :] = M[[piv, r], :]
+        M[r, c:] = (M[r, c:] * pow(int(M[r, c]), -1, p)) % p
+        idx = np.nonzero(M[r + 1 :, c])[0] + r + 1
+        M[idx, c:] = (M[idx, c:] - np.outer(M[idx, c], M[r, c:])) % p
+        pivots.append(c)
+    return M, pivots
+
+
+def echelon_cases(p):
+    """Matrices over F_p around _echelon's panel width W: every width from
+    W - 1 to 2 W + 1, cycling through wide, square, tall, rank-deficient and
+    zero-column shapes, then a 15 x 2401 one like the independence check's
+    and larger tall, rank-deficient and zero-column ones."""
+    rng = np.random.default_rng(p % 2**32)
+    W = min(PANEL, int64_terms(p))
+
+    def low_rank(nrows, ncols, k):
+        # 0/1 left factor: each entry sums at most k residues, exact in int64
+        return (rng.integers(0, 2, size=(nrows, k)) @ rng.integers(0, p, size=(k, ncols))) % p
+
+    def zero_columns(nrows, ncols):
+        A = rng.integers(0, p, size=(nrows, ncols))
+        A[:, ::3] = 0
+        return A
+
+    kinds = [
+        lambda n: rng.integers(0, p, size=(8, n)),
+        lambda n: rng.integers(0, p, size=(n, n)),
+        lambda n: rng.integers(0, p, size=(n + 40, n)),
+        lambda n: low_rank(n + 5, n, max(n // 2, 1)),
+        lambda n: zero_columns(n, n),
+    ]
+    for i, ncols in enumerate(range(max(W - 1, 1), 2 * W + 2)):
+        yield kinds[i % len(kinds)](ncols)
+    yield rng.integers(0, p, size=(15, 2401))
+    yield rng.integers(0, p, size=(200, 150))
+    yield low_rank(150, 200, 40)
+    yield zero_columns(70, 140)
+    yield np.zeros((5, 130), dtype=np.int64)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 11, 65537, 3037000493])
+def test_blocked_echelon_matches_the_one_pivot_loop(p):
+    for A in echelon_cases(p):
+        M, pivots = _echelon(A, p)
+        ref, ref_pivots = one_pivot_echelon(A, p)
+        assert pivots == ref_pivots
+        assert M.dtype == ref.dtype and M.shape == ref.shape and M.tobytes() == ref.tobytes()
+        assert rank_mod_p(A, p) == len(ref_pivots)
+        ncols = A.shape[1]
+        if ncols > int64_terms(p):
+            continue  # kernel_mod_p refuses: its back substitution sums ncols products
+        K = np.array(kernel_mod_p(A, p)).reshape(-1, ncols)
+        free = np.setdiff1d(np.arange(ncols), ref_pivots)
+        # the one kernel basis with a 1 at its own free column and 0 at the others
+        assert K[:, free].tolist() == np.eye(free.size, dtype=np.int64).tolist()
+        assert not ((A % p) @ K.T % p).any()

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import itertools
 import json
@@ -1136,3 +1137,59 @@ def test_b2_casimir_scan_loads_neither_csgraph_nor_scipy_linalg():
     out = json.loads(done.stdout)
     assert out["singular"] == {name: [0, 3, 5, 6] for name in ("I", "II", "scan I", "scan II")}
     assert out["loaded"] == []
+
+
+def sparse_sum_reference(u, rep):
+    """rho(u) as one sparse addition of c rho(m) per reduced monomial m, each
+    rho(m) a chain of sparse generator products: no diagonal split, no memo."""
+    total = sp.csr_matrix((rep.dim, rep.dim), dtype=np.int64)
+    for mono, c in reduce(u, rep.chi).terms.items():
+        M = rep.identity()
+        for pos, e in mono:
+            for _ in range(e):
+                M = (M @ rep.generators[pos]).tocsr()
+                M.data %= rep.p
+        total = total + c * M
+    total.data %= rep.p
+    total.eliminate_zeros()
+    total.sum_duplicates()
+    return total
+
+
+def split_elements(U, rng, p):
+    """Pure-coroot, constant-only, zero and mixed elements of U(L)."""
+    L = U.lie
+    hs = [U.gen(L.hpos(i)) for i in range(1, L.l + 1)]
+    gens = [U.gen(g) for g in range(L.n)]
+    coroots = U.zero()
+    for _ in range(3):
+        coroots = coroots + rng.randrange(1, p) * rng.choice(hs) ** rng.randrange(1, p + 2) * rng.choice(hs)
+    e, h, f = (U.from_lie(x) for x in L.sl2_triple(L.rs.base[0]))
+    mixed = (h + 1) ** 2 + 4 * f * e + rng.randrange(p) + rng.randrange(1, p) * hs[-1]
+    for _ in range(3):
+        a, b = sorted(rng.sample(range(L.n), 2))
+        mixed = mixed + rng.randrange(1, p) * gens[a] ** rng.choice([1, 2, p]) * gens[b]
+    return [coroots, coroots + rng.randrange(1, p), U.scalar(rng.randrange(1, p)), U.zero(), mixed]
+
+
+@pytest.mark.parametrize("family, rank, p", [("A", 1, 7), ("A", 2, 5), ("B", 2, 5), ("C", 2, 5)])
+def test_evaluate_sums_diagonal_terms_as_one_vector(family, rank, p):
+    L = build_chevalley(build_root_system(family, rank), p, allow_small=True)
+    rep = baby_verma(L, Character(L, {L.xpos(-L.rs.base[0]): 1}), {i: 0 for i in range(1, L.l + 1)})
+    # a hand-made module whose rho(h_1) is not diagonal: rho(h_1) + rho(x(alpha_1)),
+    # so no term may be taken as diagonal for being a coroot monomial
+    h1 = L.hpos(1)
+    bent = rep.generators[h1] + rep.generators[L.xpos(L.rs.base[0])]
+    bent.data %= p
+    hand_made = dataclasses.replace(rep, generators={**rep.generators, h1: bent})
+    U = L.enveloping()
+    rng = random.Random(f"split-{family}{rank}-{p}")
+    for module in (rep, hand_made):
+        for u in split_elements(U, rng, p) + split_elements(U, rng, p):
+            got, expected = evaluate(u, module), sparse_sum_reference(u, module)
+            assert type(got) is type(expected) and got.shape == expected.shape
+            for name in ("indptr", "indices", "data"):
+                a, b = getattr(got, name), getattr(expected, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+            assert got.data.dtype == np.int64 and got.has_sorted_indices
+            assert ((got.data > 0) & (got.data < p)).all()
