@@ -833,14 +833,14 @@ def _rep_cross_check(result, Xa, rep) -> dict:
     for a in result.assignments:
         A = redenv.evaluate(a.element, rep)
         mat_comm = (rep.matmul(Xa, A) - rep.matmul(A, Xa)).tocsr()
-        sym_mat = redenv.evaluate(a.residue, rep) if a.residue is not None else 0 * Xa
-        agree = rep.mats_equal(mat_comm, sym_mat)
+        zero = rep.is_zero_matrix(mat_comm)
+        agree = zero if a.residue is None else rep.mats_equal(mat_comm, redenv.evaluate(a.residue, rep))
         entry = {"signs": _sgnstr(a.signs), "homomorphism": agree}
         if a.commutes:
-            entry["matrix_zero"] = rep.is_zero_matrix(mat_comm)
-            ok = ok and agree and entry["matrix_zero"]
+            entry["matrix_zero"] = zero
+            ok = ok and agree and zero
         else:
-            nonzero = not rep.is_zero_matrix(mat_comm)
+            nonzero = not zero
             wt = weight(a.residue)
             cert = wt is not None and any(wt)
             entry["matrix_nonzero"] = nonzero

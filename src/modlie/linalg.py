@@ -91,7 +91,11 @@ def _echelon(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
                 top[j] = (top[j] - M[r0 + j, cols[:j]] @ top[:j]) % p * s % p
             below = M[len(pivots) :, cols]
             hit = np.flatnonzero(below.any(axis=1))
-            if hit.size:
+            if hit.size == len(below):  # every row below: update a view, no copy
+                rest = M[len(pivots) :, c1:]
+                rest -= below @ top
+                rest %= p
+            elif hit.size:
                 idx = hit + len(pivots)
                 rest = M[idx, c1:]
                 rest -= below[hit] @ top

@@ -139,9 +139,9 @@ class MatrixRep:
     generators: dict[int, sp.csr_matrix]
     chi: Character
     lam: dict[int, int]
-    # reduced PBW monomial -> its matrix, read and written only by
-    # _monomial_matrix; the generators must not change after an evaluation
-    # (dataclasses.replace gives a fresh memo)
+    # reduced PBW monomial -> (its matrix, that matrix's diagonal or None),
+    # read and written only by _monomial_matrix; the generators must not
+    # change after an evaluation (dataclasses.replace gives a fresh memo)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def identity(self) -> sp.csr_matrix:
@@ -299,21 +299,24 @@ def export_text(rep: MatrixRep) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _monomial_matrix(mono: Mono, rep: MatrixRep) -> sp.csr_matrix:
-    """rho(mono) for a reduced PBW monomial mono != (): each suffix that
-    rep's memo lacks is one generator times the next shorter suffix, so no
-    matrix is formed twice on a module and none is multiplied by the identity."""
+def _monomial_matrix(mono: Mono, rep: MatrixRep) -> tuple[sp.csr_matrix, np.ndarray | None]:
+    """rep's memo entry for a reduced PBW monomial mono != (): rho(mono) and
+    its diagonal if rho(mono) is diagonal, else None.  Each suffix that the
+    memo lacks is one generator times the next shorter suffix, so no matrix
+    is formed twice on a module and none is multiplied by the identity, and
+    _diagonal looks at each matrix once, when its entry is made."""
     memo = rep._memo
     chain = []
     while mono and mono not in memo:
         chain.append(mono)
         (pos, e), rest = mono[0], mono[1:]
         mono = ((pos, e - 1),) + rest if e > 1 else rest
-    M = memo.get(mono)
+    entry = memo.get(mono)
     for mono in reversed(chain):
         G = rep.generators[mono[0][0]]
-        M = memo[mono] = G if M is None else rep.matmul(G, M)
-    return M
+        M = G if entry is None else rep.matmul(G, entry[0])
+        entry = memo[mono] = (M, _diagonal(M))
+    return entry
 
 
 def _diagonal(M: sp.csr_matrix) -> np.ndarray | None:
@@ -326,42 +329,55 @@ def _diagonal(M: sp.csr_matrix) -> np.ndarray | None:
     return diag if np.count_nonzero(diag) == M.nnz else None
 
 
-def evaluate(u: UEElement, rep: MatrixRep) -> sp.csr_matrix:
-    """Image of u under the algebra homomorphism extending the generator
-    matrices: the sum of c rho(m) over the monomials c m of reduce(u, rep.chi),
-    with monomials that share a suffix sharing its product, as a canonical
-    int64 CSR matrix (entries below p, no stored zeros, sorted column
-    indices).  The terms whose matrix is diagonal (the constant, and the
-    coroot monomials on a baby Verma module) add into one vector, which is
-    one sparse addition; the others are summed by sparse additions from the
-    first of them.  This is the one way from U(L) to matrices."""
+def _split(u: UEElement, rep: MatrixRep) -> tuple[sp.csr_matrix | None, np.ndarray]:
+    """rho(u) = S + diag(D), summed over the monomials c m of
+    reduce(u, rep.chi): D, an int64 vector of residues mod p, holds the
+    constant and every term whose memo entry is diagonal (the coroot
+    monomials on a baby Verma module), added up and reduced once; S, None
+    when no term is left, is the sum of the other terms by sparse additions
+    from the first of them, with nonnegative int64 entries that are not
+    reduced mod p.  S is a new matrix, so its consumer may reduce it in
+    place; each reduces it once."""
     if u.uea.lie is not rep.algebra:
         raise MixedAlgebras("element and representation over different algebras")
-    check_int64_sum(rep.p, rep.dim)  # each product sums dim residue products
-    diag = np.zeros(rep.dim, dtype=np.int64)
-    total = None  # the sum of c rho(m) over the monomials m whose matrix is not diagonal
-    for mono, c in reduce(u, rep.chi).terms.items():
+    terms = reduce(u, rep.chi).terms
+    # each product sums dim residue products, and each entry of S and D one
+    # residue product per term at most
+    check_int64_sum(rep.p, max(rep.dim, len(terms)))
+    D = np.zeros(rep.dim, dtype=np.int64)
+    S = None
+    for mono, c in terms.items():
         if not mono:
-            diag = (diag + c) % rep.p
+            D += c
             continue
-        M = _monomial_matrix(mono, rep)
-        D = _diagonal(M)
-        if D is not None:
-            diag = (diag + c * D) % rep.p
-        elif total is None:
-            total = (c * M).astype(np.int64, copy=False)  # a copy: the memo's matrix is never written
+        M, diag = _monomial_matrix(mono, rep)
+        if diag is not None:
+            D += c * diag
+        elif S is None:
+            S = (c * M).astype(np.int64, copy=False)  # a copy: the memo's matrix is never written
         else:
-            total = total + c * M
-    if diag.any():
+            S = S + c * M
+    D %= rep.p
+    return S, D
+
+
+def evaluate(u: UEElement, rep: MatrixRep) -> sp.csr_matrix:
+    """Image of u under the algebra homomorphism extending the generator
+    matrices, with monomials that share a suffix sharing its product, as a
+    canonical int64 CSR matrix (entries below p, no stored zeros, sorted
+    column indices): S + diag(D) from _split, one sparse addition, reduced
+    mod p once.  This is the one way from U(L) to matrices."""
+    S, D = _split(u, rep)
+    if D.any():
         line = np.arange(rep.dim + 1)
-        D = sp.csr_matrix((diag, line[:-1], line), shape=(rep.dim, rep.dim))
-        total = D if total is None else total + D
-    if total is None:
+        D = sp.csr_matrix((D, line[:-1], line), shape=(rep.dim, rep.dim))
+        S = D if S is None else S + D
+    if S is None:
         return sp.csr_matrix((rep.dim, rep.dim), dtype=np.int64)
-    total.data %= rep.p
-    total.eliminate_zeros()
-    total.sum_duplicates()  # sorts the column indices of every row
-    return total
+    S.data %= rep.p
+    S.eliminate_zeros()
+    S.sum_duplicates()  # sorts the column indices of every row
+    return S
 
 
 def _trim(A: sp.csr_matrix, zero_diag: np.ndarray) -> np.ndarray | None:
@@ -413,20 +429,22 @@ def _components(A: sp.csr_matrix) -> np.ndarray:
         label = label[label]
 
 
-def _dense_blocks(A: sp.csr_matrix, alive: np.ndarray):
-    """A's blocks on the weakly connected components of the core (the mask
-    alive that _trim leaves), made dense one at a time; no edge joins two
-    components, so the core's block is block-diagonal under them.  A
-    component of more than MAX_DENSE_DIM raises ModuleTooLarge before any
-    block is made dense.  Shifted Casimirs and Lee bodies have weight zero,
-    so their components lie in weight blocks (at most 37 vertices for the
-    case-I bodies on the B2 p = 7 module); an element that is not
-    weight-homogeneous may join weight blocks into a component above the
-    limit on a module of more than MAX_DENSE_DIM dimensions."""
+def _dense_blocks(S: sp.csr_matrix, diag: np.ndarray, alive: np.ndarray):
+    """The blocks of the matrix with S's entries off the diagonal and diag on
+    it (rho(u), for S reduced mod p) on the weakly connected components of
+    the core (the mask alive that _trim leaves), made dense one at a time;
+    no edge joins two components, so the core's block is block-diagonal
+    under them.  A component of more than MAX_DENSE_DIM raises
+    ModuleTooLarge before any block is made dense.  Shifted Casimirs and Lee
+    bodies have weight zero, so their components lie in weight blocks (at
+    most 37 vertices for the case-I bodies on the B2 p = 7 module); an
+    element that is not weight-homogeneous may join weight blocks into a
+    component above the limit on a module of more than MAX_DENSE_DIM
+    dimensions."""
     core = np.flatnonzero(alive)
     if core.size == 0:
         return
-    A = A[core][:, core]
+    A = S[core][:, core]
     labels = _components(A)
     sizes = np.bincount(labels)
     if sizes.max() > MAX_DENSE_DIM:
@@ -435,33 +453,46 @@ def _dense_blocks(A: sp.csr_matrix, alive: np.ndarray):
         )
     for comp in np.flatnonzero(sizes):
         idx = np.flatnonzero(labels == comp)
-        yield A[idx][:, idx].toarray()
+        B = A[idx][:, idx].toarray()
+        np.fill_diagonal(B, diag[core[idx]])
+        yield B
 
 
 def invertible_in_rep(u: UEElement, rep: MatrixRep) -> bool:
     """True iff u acts invertibly on the module.
 
-    Trimming rho(u)'s off-diagonal pattern (_trim) deletes vertices that lie
-    on no cycle, so det rho(u) is the product of their diagonal entries times
-    the determinant of the block on what is left, the core; a zero among
-    those entries answers False at once.  Otherwise each block of the core
-    (_dense_blocks) gets one exact dense rank."""
-    A = evaluate(u, rep)
-    alive = _trim(A, A.diagonal() == 0)
-    return alive is not None and all(rank_mod_p(B, rep.p) == len(B) for B in _dense_blocks(A, alive))
+    rho(u) = S + diag(D) (_split) is never assembled: the answer is whether
+    D has no zero when no term is left in S, and otherwise S is reduced mod
+    p once, so that its off-diagonal pattern is rho(u)'s and rho(u)'s
+    diagonal is (S.diagonal() + D) mod p.  Trimming that pattern (_trim)
+    deletes vertices that lie on no cycle, so det rho(u) is the product of
+    their diagonal entries times the determinant of the block on what is
+    left, the core; a zero among those entries answers False at once.
+    Otherwise each block of the core (_dense_blocks, from S and the
+    diagonal) gets one exact dense rank."""
+    S, D = _split(u, rep)
+    if S is None:
+        return bool(D.all())
+    S.data %= rep.p  # S is _split's own matrix, not the memo's
+    S.eliminate_zeros()
+    diag = (S.diagonal() + D) % rep.p
+    alive = _trim(S, diag == 0)
+    return alive is not None and all(rank_mod_p(B, rep.p) == len(B) for B in _dense_blocks(S, diag, alive))
 
 
 def singular_constants(u: UEElement, rep: MatrixRep) -> list[int]:
     """The c in F_p, ascending, for which u + c does not act invertibly on
     the module: the c where invertible_in_rep(u + c, rep) is False, from one
-    evaluate and one trim.  rho(u) + cI has rho(u)'s off-diagonal pattern,
-    so each trimmed vertex v is singular exactly at c = -rho(u)_vv, and only
-    the c that those leave open are ranked on the core's blocks."""
+    evaluate, which adds rho(u) = S + diag(D) once for the whole scan, and
+    one trim.  rho(u) + cI has rho(u)'s off-diagonal pattern, so each
+    trimmed vertex v is singular exactly at c = -rho(u)_vv, and only the c
+    that those leave open are ranked on the core's blocks."""
     A, p = evaluate(u, rep), rep.p
+    diag = A.diagonal()
     alive = _trim(A, np.zeros(rep.dim, dtype=bool))
-    singular = set((-A.diagonal()[~alive] % p).tolist())
+    singular = set((-diag[~alive] % p).tolist())
     if len(singular) < p:
-        for B in _dense_blocks(A, alive):
+        for B in _dense_blocks(A, diag, alive):
             eye = np.eye(len(B), dtype=np.int64)
             singular.update([c for c in range(p) if c not in singular and rank_mod_p((B + c * eye) % p, p) < len(B)])
     return sorted(singular)

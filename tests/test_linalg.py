@@ -246,3 +246,21 @@ def test_blocked_echelon_matches_the_one_pivot_loop(p):
         # the one kernel basis with a 1 at its own free column and 0 at the others
         assert K[:, free].tolist() == np.eye(free.size, dtype=np.int64).tolist()
         assert not ((A % p) @ K.T % p).any()
+
+
+@pytest.mark.parametrize("p", [2, 7, 65537])
+def test_blocked_echelon_matches_the_one_pivot_loop_when_some_rows_below_are_untouched(p):
+    # rows that are zero on a panel's pivot columns get no update from it,
+    # so the columns after the panel are rewritten only in the other rows
+    rng = np.random.default_rng(p)
+    W = min(PANEL, int64_terms(p))
+    for nrows, ncols in [(3 * W, 3 * W), (2 * W + 7, 4 * W + 3)]:
+        A = rng.integers(0, p, size=(nrows, ncols))
+        untouched = rng.random(nrows) < 0.5
+        untouched[:W] = False  # the first panel's pivots come from full rows
+        A[untouched, :W] = 0
+        A[untouched & (rng.random(nrows) < 0.5), W : 2 * W] = 0
+        M, pivots = _echelon(A, p)
+        ref, ref_pivots = one_pivot_echelon(A, p)
+        assert pivots == ref_pivots
+        assert M.dtype == ref.dtype and M.shape == ref.shape and M.tobytes() == ref.tobytes()

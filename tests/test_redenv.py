@@ -1193,3 +1193,57 @@ def test_evaluate_sums_diagonal_terms_as_one_vector(family, rank, p):
                 assert a.dtype == b.dtype and np.array_equal(a, b), name
             assert got.data.dtype == np.int64 and got.has_sorted_indices
             assert ((got.data > 0) & (got.data < p)).all()
+
+
+def test_diagonal_is_decided_once_per_memo_entry(monkeypatch, b2_p7):
+    # a memo entry records its matrix's diagonal when it is made, so the
+    # shifted-Casimir scans look at no matrix's diagonal twice, and a second
+    # pair of scans at none
+    import modlie.redenv as redenv
+
+    L = b2_p7
+    rep = baby_verma(L, Character(L, {L.xpos(Root((-1, 0))): 1}), {1: 0, 2: 0})
+    U = L.enveloping()
+    casimirs = []
+    for alpha in (Root((1, 0)), Root((1, -1))):
+        e, h, f = (U.from_lie(x) for x in L.sl2_triple(alpha))
+        casimirs.append((h + 1) ** 2 + 4 * f * e)
+    calls = []
+    diagonal = redenv._diagonal
+    monkeypatch.setattr(redenv, "_diagonal", lambda M: calls.append(M) or diagonal(M))
+    for first in (True, False):
+        calls.clear()
+        entries = len(rep._memo)
+        singular = [[c for c in range(7) if not invertible_in_rep(w + c, rep)] for w in casimirs]
+        assert singular == [[0, 3, 5, 6]] * 2
+        made = len(rep._memo) - entries
+        if first:
+            assert 0 < made and len(calls) <= made
+        else:
+            assert made == 0 and calls == []
+
+
+@pytest.mark.parametrize("family, rank, p", [("A", 1, 7), ("A", 2, 5), ("B", 2, 5), ("C", 2, 5)])
+def test_scans_without_diagonal_terms_match_dense_rank(monkeypatch, family, rank, p):
+    # the hand-made module of test_evaluate_sums_diagonal_terms_as_one_vector,
+    # whose rho(h_1) is not diagonal, and the elements drawn there: coroot
+    # terms land in S, and the core's blocks are built from S and the diagonal
+    import modlie.redenv as redenv
+
+    L = build_chevalley(build_root_system(family, rank), p, allow_small=True)
+    rep = baby_verma(L, Character(L, {L.xpos(-L.rs.base[0]): 1}), {i: 0 for i in range(1, L.l + 1)})
+    h1 = L.hpos(1)
+    bent = rep.generators[h1] + rep.generators[L.xpos(L.rs.base[0])]
+    bent.data %= p
+    hand_made = dataclasses.replace(rep, generators={**rep.generators, h1: bent})
+    ranked = []
+    monkeypatch.setattr(redenv, "rank_mod_p", lambda B, p: ranked.append(len(B)) or rank_mod_p(B, p))
+    U = L.enveloping()
+    rng = random.Random(f"split-{family}{rank}-{p}")
+    eye = np.eye(hand_made.dim, dtype=np.int64)
+    for u in [u for _ in range(4) for u in split_elements(U, rng, p)]:
+        A = evaluate(u, hand_made).toarray()
+        expected = [c for c in range(p) if rank_mod_p((A + c * eye) % p, p) < hand_made.dim]
+        assert [c for c in range(p) if not invertible_in_rep(u + c, hand_made)] == expected
+        assert singular_constants(u, hand_made) == expected
+    assert ranked  # some trim left a non-empty core
