@@ -89,18 +89,9 @@ def _echelon(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
             top = M[r0 : len(pivots), c1:]  # a view: the pivot rows, by forward substitution
             for j, s in enumerate(scales):
                 top[j] = (top[j] - M[r0 + j, cols[:j]] @ top[:j]) % p * s % p
-            below = M[len(pivots) :, cols]
-            hit = np.flatnonzero(below.any(axis=1))
-            if hit.size == len(below):  # every row below: update a view, no copy
-                rest = M[len(pivots) :, c1:]
-                rest -= below @ top
-                rest %= p
-            elif hit.size:
-                idx = hit + len(pivots)
-                rest = M[idx, c1:]
-                rest -= below[hit] @ top
-                rest %= p
-                M[idx, c1:] = rest
+            rest = M[len(pivots) :, c1:]  # a view, updated in place; a row with no multiplier keeps its residues
+            rest -= M[len(pivots) :, cols] @ top
+            rest %= p
         for j, c in enumerate(cols):
             M[r0 + j + 1 :, c] = 0
         c0 = c1

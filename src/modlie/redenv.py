@@ -329,15 +329,15 @@ def _diagonal(M: sp.csr_matrix) -> np.ndarray | None:
     return diag if np.count_nonzero(diag) == M.nnz else None
 
 
-def _split(u: UEElement, rep: MatrixRep) -> tuple[sp.csr_matrix | None, np.ndarray]:
+def _split(u: UEElement, rep: MatrixRep) -> tuple[sp.csr_matrix, np.ndarray]:
     """rho(u) = S + diag(D), summed over the monomials c m of
     reduce(u, rep.chi): D, an int64 vector of residues mod p, holds the
     constant and every term whose memo entry is diagonal (the coroot
-    monomials on a baby Verma module), added up and reduced once; S, None
-    when no term is left, is the sum of the other terms by sparse additions
-    from the first of them, with nonnegative int64 entries that are not
-    reduced mod p.  S is a new matrix, so its consumer may reduce it in
-    place; each reduces it once."""
+    monomials on a baby Verma module), added up and reduced once; S is the
+    sum of the other terms by sparse additions from the first of them, an
+    empty int64 matrix when there are none, with nonnegative entries that
+    are not reduced mod p.  S is a new matrix, so its consumer may reduce it
+    in place; each reduces it once."""
     if u.uea.lie is not rep.algebra:
         raise MixedAlgebras("element and representation over different algebras")
     terms = reduce(u, rep.chi).terms
@@ -358,6 +358,8 @@ def _split(u: UEElement, rep: MatrixRep) -> tuple[sp.csr_matrix | None, np.ndarr
         else:
             S = S + c * M
     D %= rep.p
+    if S is None:  # made only when needed: building an empty 2401 x 2401 CSR matrix takes 16 us
+        S = sp.csr_matrix((rep.dim, rep.dim), dtype=np.int64)
     return S, D
 
 
@@ -370,10 +372,7 @@ def evaluate(u: UEElement, rep: MatrixRep) -> sp.csr_matrix:
     S, D = _split(u, rep)
     if D.any():
         line = np.arange(rep.dim + 1)
-        D = sp.csr_matrix((D, line[:-1], line), shape=(rep.dim, rep.dim))
-        S = D if S is None else S + D
-    if S is None:
-        return sp.csr_matrix((rep.dim, rep.dim), dtype=np.int64)
+        S = S + sp.csr_matrix((D, line[:-1], line), shape=(rep.dim, rep.dim))
     S.data %= rep.p
     S.eliminate_zeros()
     S.sum_duplicates()  # sorts the column indices of every row
@@ -461,18 +460,15 @@ def _dense_blocks(S: sp.csr_matrix, diag: np.ndarray, alive: np.ndarray):
 def invertible_in_rep(u: UEElement, rep: MatrixRep) -> bool:
     """True iff u acts invertibly on the module.
 
-    rho(u) = S + diag(D) (_split) is never assembled: the answer is whether
-    D has no zero when no term is left in S, and otherwise S is reduced mod
-    p once, so that its off-diagonal pattern is rho(u)'s and rho(u)'s
-    diagonal is (S.diagonal() + D) mod p.  Trimming that pattern (_trim)
+    rho(u) = S + diag(D) (_split) is never assembled: S is reduced mod p
+    once, so that its off-diagonal pattern is rho(u)'s and rho(u)'s diagonal
+    is (S.diagonal() + D) mod p.  Trimming that pattern (_trim)
     deletes vertices that lie on no cycle, so det rho(u) is the product of
     their diagonal entries times the determinant of the block on what is
     left, the core; a zero among those entries answers False at once.
     Otherwise each block of the core (_dense_blocks, from S and the
     diagonal) gets one exact dense rank."""
     S, D = _split(u, rep)
-    if S is None:
-        return bool(D.all())
     S.data %= rep.p  # S is _split's own matrix, not the memo's
     S.eliminate_zeros()
     diag = (S.diagonal() + D) % rep.p

@@ -250,8 +250,8 @@ def test_blocked_echelon_matches_the_one_pivot_loop(p):
 
 @pytest.mark.parametrize("p", [2, 7, 65537])
 def test_blocked_echelon_matches_the_one_pivot_loop_when_some_rows_below_are_untouched(p):
-    # rows that are zero on a panel's pivot columns get no update from it,
-    # so the columns after the panel are rewritten only in the other rows
+    # rows that are zero on a panel's pivot columns get a zero update from
+    # it, which must leave their residues in the columns after it as they are
     rng = np.random.default_rng(p)
     W = min(PANEL, int64_terms(p))
     for nrows, ncols in [(3 * W, 3 * W), (2 * W + 7, 4 * W + 3)]:

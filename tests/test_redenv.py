@@ -1225,8 +1225,10 @@ def test_diagonal_is_decided_once_per_memo_entry(monkeypatch, b2_p7):
 
 @pytest.mark.parametrize("family, rank, p", [("A", 1, 7), ("A", 2, 5), ("B", 2, 5), ("C", 2, 5)])
 def test_scans_without_diagonal_terms_match_dense_rank(monkeypatch, family, rank, p):
-    # the hand-made module of test_evaluate_sums_diagonal_terms_as_one_vector,
-    # whose rho(h_1) is not diagonal, and the elements drawn there: coroot
+    # the module and the hand-made one of
+    # test_evaluate_sums_diagonal_terms_as_one_vector, whose rho(h_1) is not
+    # diagonal, and the elements drawn there: on the module the coroot,
+    # constant and zero elements leave S empty; on the hand-made one coroot
     # terms land in S, and the core's blocks are built from S and the diagonal
     import modlie.redenv as redenv
 
@@ -1240,10 +1242,11 @@ def test_scans_without_diagonal_terms_match_dense_rank(monkeypatch, family, rank
     monkeypatch.setattr(redenv, "rank_mod_p", lambda B, p: ranked.append(len(B)) or rank_mod_p(B, p))
     U = L.enveloping()
     rng = random.Random(f"split-{family}{rank}-{p}")
-    eye = np.eye(hand_made.dim, dtype=np.int64)
+    eye = np.eye(rep.dim, dtype=np.int64)
     for u in [u for _ in range(4) for u in split_elements(U, rng, p)]:
-        A = evaluate(u, hand_made).toarray()
-        expected = [c for c in range(p) if rank_mod_p((A + c * eye) % p, p) < hand_made.dim]
-        assert [c for c in range(p) if not invertible_in_rep(u + c, hand_made)] == expected
-        assert singular_constants(u, hand_made) == expected
+        for module in (rep, hand_made):
+            A = evaluate(u, module).toarray()
+            expected = [c for c in range(p) if rank_mod_p((A + c * eye) % p, p) < module.dim]
+            assert [c for c in range(p) if not invertible_in_rep(u + c, module)] == expected
+            assert singular_constants(u, module) == expected
     assert ranked  # some trim left a non-empty core
