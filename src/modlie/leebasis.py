@@ -598,7 +598,7 @@ def verify_independence_truncated(cand: LeeCandidate, rep, bound: int, order=Non
     coefficient combination: the tuple that first falls into the span of the
     earlier ones with coefficient 1, plus those earlier independent tuples.
     An order that repeats a tuple raises ValueError; a stack of more than
-    MAX_DENSE_DIM^2 entries raises ModuleTooLarge before it is allocated."""
+    MAX_DENSE_DIM^2 entries raises ModuleTooLarge once the matrices formed fill that many."""
     p = cand.p
     tuples = cand.tuples_with_bound(bound) if order is None else list(order)
     for tup in tuples:
@@ -621,16 +621,18 @@ def verify_independence_truncated(cand: LeeCandidate, rep, bound: int, order=Non
             return IndependenceReport(
                 count=len(tuples), rank=len(tuples), tuples=tuples, witnesses=[]
             )
-    mats = [image(tup, rep.identity(), rep.matmul).tocoo() for tup in tuples]
-    flat = [M.row.astype(np.int64) * rep.dim + M.col for M in mats]
-    cells = np.unique(np.concatenate(flat)) if flat else np.zeros(0, dtype=np.int64)
-    if len(tuples) * cells.size > redenv.MAX_DENSE_DIM**2:
-        raise ModuleTooLarge(
-            f"independence stack of {len(tuples)} tuples x {cells.size} cells exceeds the limit of"
-            f" {redenv.MAX_DENSE_DIM}^2 entries"
-        )
+    mats, cells = [], np.zeros(0, dtype=np.int64)
+    for tup in tuples:  # the filled cells are counted as each matrix is formed
+        M = image(tup, rep.identity(), rep.matmul).tocoo()
+        mats.append((M, M.row.astype(np.int64) * rep.dim + M.col))
+        cells = np.union1d(cells, mats[-1][1])
+        if len(tuples) * cells.size > redenv.MAX_DENSE_DIM**2:
+            raise ModuleTooLarge(
+                f"independence stack of {len(tuples)} tuples x {cells.size} cells exceeds the limit of"
+                f" {redenv.MAX_DENSE_DIM}^2 entries"
+            )
     S = np.zeros((len(tuples), cells.size), dtype=np.int64)
-    for i, (M, f) in enumerate(zip(mats, flat)):
+    for i, (M, f) in enumerate(mats):
         S[i, np.searchsorted(cells, f)] = M.data
     # pivot columns of S.T are the greedily independent tuples; each free
     # column's kernel vector is the unique dependency of that tuple on them

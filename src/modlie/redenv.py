@@ -55,10 +55,10 @@ MAX_DENSE_DIM = 2**12
 
 
 class ModuleTooLarge(ValueError):
-    """The module has more than MAX_MODULE_DIM dimensions (baby_verma) or
-    more than MAX_DENSE_DIM (is_irreducible), the trimmed core of rho(u) a
-    component of more than MAX_DENSE_DIM vertices (invertible_in_rep and
-    singular_constants), or the independence stack more than MAX_DENSE_DIM^2 entries."""
+    """The module has more than MAX_MODULE_DIM dimensions (baby_verma) or more
+    than MAX_DENSE_DIM (is_irreducible), a component of rho(u)'s trimmed core
+    more than MAX_DENSE_DIM vertices while some c is open (_singular), or the
+    independence stack more than MAX_DENSE_DIM^2 entries as its matrices are formed."""
 
 
 @dataclass
@@ -293,9 +293,8 @@ def export_text(rep: MatrixRep) -> str:
     """
     lines = [f"dim {rep.dim} p {rep.p}"]
     for b in rep.algebra.basis:
-        M = rep.generators[b.position].sorted_indices()
-        rows = np.repeat(np.arange(rep.dim), np.diff(M.indptr)).tolist()
-        lines += [f"{b.label} {r} {c} {v}" for r, c, v in zip(rows, M.indices.tolist(), (M.data % rep.p).tolist())]
+        M = rep.generators[b.position].sorted_indices().tocoo()  # keeps CSR order
+        lines += [f"{b.label} {r} {c} {v}" for r, c, v in zip(M.row.tolist(), M.col.tolist(), (M.data % rep.p).tolist())]
     return "\n".join(lines) + "\n"
 
 
@@ -379,19 +378,15 @@ def evaluate(u: UEElement, rep: MatrixRep) -> sp.csr_matrix:
     return S
 
 
-def _trim(A: sp.csr_matrix, zero_diag: np.ndarray) -> np.ndarray | None:
-    """Mask of the vertices left (the core) after deleting from A's
-    off-diagonal nonzero pattern, round by round, every vertex with no
-    in-edge or no out-edge among the vertices left (the trim of McLendon et
-    al. 2005), or None as soon as a deleted vertex, which lies on no cycle,
-    is marked in zero_diag."""
-    src = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-    dst = A.indices.astype(np.intp)  # numpy indexes faster with intp than int32
-    off = src != dst
-    src, dst = src[off], dst[off]
-    alive = np.ones(zero_diag.size, dtype=bool)
-    has_in = np.empty_like(alive)
-    has_out = np.empty_like(alive)
+def _trim(src: np.ndarray, dst: np.ndarray, diag: np.ndarray, live: np.ndarray) -> tuple | None:
+    """The edges (src, dst) of the core: what is left of an off-diagonal
+    pattern after deleting, round by round, every vertex with no in-edge or
+    no out-edge among the vertices left (the trim of McLendon et al. 2005).
+    A deleted vertex v lies on no cycle, so it clears live[diag[v]] in
+    place; the trim answers None as soon as live has no True left."""
+    alive = np.ones(diag.size, dtype=bool)
+    has_in, has_out = np.empty_like(alive), np.empty_like(alive)
+    watch = live[diag]
     while True:
         has_in.fill(False)
         has_in[dst] = True
@@ -400,25 +395,26 @@ def _trim(A: sp.csr_matrix, zero_diag: np.ndarray) -> np.ndarray | None:
         keep = has_in & has_out  # a subset of alive: every edge left joins two live vertices
         gone = alive ^ keep
         if not gone.any():
-            return alive
-        if (gone & zero_diag).any():
-            return None
+            return src, dst
+        if (gone & watch).any():
+            live[diag[gone]] = False
+            if not live.any():
+                return None
+            watch = live[diag]
         alive = keep
         inner = keep[src] & keep[dst]
         src, dst = src[inner], dst[inner]
 
 
-def _components(A: sp.csr_matrix) -> np.ndarray:
-    """Label of the weakly connected component of each vertex of A's nonzero
-    pattern, the least vertex in it.  Each round hooks the labels at the two
-    ends of every edge onto the lesser one, then points every vertex at its
-    label's label (Shiloach & Vishkin 1982).  A label never rises, never
-    exceeds its vertex and never leaves its component, and some label falls
-    in every round until each edge joins equal labels: then every vertex of
-    a component carries one label, at most its least vertex, so that one."""
-    src = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-    dst = A.indices.astype(np.intp)
-    label = np.arange(A.shape[0])
+def _components(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
+    """Label of the weakly connected component of each of n vertices under the
+    edges (src, dst), the least vertex in it.  Each round hooks the labels at
+    the two ends of every edge onto the lesser one, then points every vertex
+    at its label's label (Shiloach & Vishkin 1982).  A label never rises,
+    never exceeds its vertex and never leaves its component, and some label
+    falls in every round until each edge joins equal labels: then every vertex
+    of a component carries one label, at most its least vertex, so that one."""
+    label = np.arange(n)
     while True:
         a, b = label[src], label[dst]
         if (a == b).all():
@@ -428,70 +424,72 @@ def _components(A: sp.csr_matrix) -> np.ndarray:
         label = label[label]
 
 
-def _dense_blocks(S: sp.csr_matrix, diag: np.ndarray, alive: np.ndarray):
-    """The blocks of the matrix with S's entries off the diagonal and diag on
-    it (rho(u), for S reduced mod p) on the weakly connected components of
-    the core (the mask alive that _trim leaves), made dense one at a time;
-    no edge joins two components, so the core's block is block-diagonal
-    under them.  A component of more than MAX_DENSE_DIM raises
-    ModuleTooLarge before any block is made dense.  Shifted Casimirs and Lee
-    bodies have weight zero, so their components lie in weight blocks (at
-    most 37 vertices for the case-I bodies on the B2 p = 7 module); an
-    element that is not weight-homogeneous may join weight blocks into a
-    component above the limit on a module of more than MAX_DENSE_DIM
-    dimensions."""
-    core = np.flatnonzero(alive)
-    if core.size == 0:
+def _dense_blocks(S: sp.csr_matrix, diag: np.ndarray, src: np.ndarray, dst: np.ndarray):
+    """The blocks of rho(u) (S's entries off the diagonal, diag on it) on the
+    weakly connected components of the core, whose edges (src, dst) _trim
+    leaves, made dense one at a time: no edge joins two components.  Every
+    core vertex has an edge to another, so the core's components are those of
+    two or more vertices.  A component of more than MAX_DENSE_DIM raises
+    ModuleTooLarge before any block is made dense; weight-zero elements
+    (shifted Casimirs, Lee bodies) keep theirs inside weight blocks, at most
+    37 vertices for the case-I bodies on the B2 p = 7 module."""
+    if src.size == 0:  # an empty core, as the trim leaves for most shifted Casimirs
         return
-    A = S[core][:, core]
-    labels = _components(A)
+    labels = _components(src, dst, diag.size)
     sizes = np.bincount(labels)
     if sizes.max() > MAX_DENSE_DIM:
         raise ModuleTooLarge(
             f"invertibility test on a connected component of dimension {sizes.max()} exceeds the limit of {MAX_DENSE_DIM}"
         )
-    for comp in np.flatnonzero(sizes):
+    for comp in np.flatnonzero(sizes > 1):
         idx = np.flatnonzero(labels == comp)
-        B = A[idx][:, idx].toarray()
-        np.fill_diagonal(B, diag[core[idx]])
+        B = S[idx][:, idx].toarray()
+        np.fill_diagonal(B, diag[idx])
         yield B
 
 
-def invertible_in_rep(u: UEElement, rep: MatrixRep) -> bool:
-    """True iff u acts invertibly on the module.
+def _singular(u: UEElement, rep: MatrixRep, cs) -> list[int]:
+    """The c in cs, in cs's order, at which u + c acts singularly on the module.
 
-    rho(u) = S + diag(D) (_split) is never assembled: S is reduced mod p
-    once, so that its off-diagonal pattern is rho(u)'s and rho(u)'s diagonal
-    is (S.diagonal() + D) mod p.  Trimming that pattern (_trim)
-    deletes vertices that lie on no cycle, so det rho(u) is the product of
-    their diagonal entries times the determinant of the block on what is
-    left, the core; a zero among those entries answers False at once.
-    Otherwise each block of the core (_dense_blocks, from S and the
-    diagonal) gets one exact dense rank."""
+    rho(u) = S + diag(D) (_split) is never assembled: S reduced mod p once
+    holds rho(u)'s off-diagonal entries, those of rho(u) + cI whatever c, and
+    rho(u)'s diagonal is (S.diagonal() + D) mod p.  Their edges are listed
+    once and trimmed (_trim): a trimmed vertex v lies on no cycle, so it makes
+    c = -rho(u)_vv singular, and the trim stops once no c in cs is open.  Each
+    block of the core (_dense_blocks) is then ranked at each c still open,
+    until none is."""
     S, D = _split(u, rep)
-    S.data %= rep.p  # S is _split's own matrix, not the memo's
-    S.eliminate_zeros()
-    diag = (S.diagonal() + D) % rep.p
-    alive = _trim(S, diag == 0)
-    return alive is not None and all(rank_mod_p(B, rep.p) == len(B) for B in _dense_blocks(S, diag, alive))
+    p = rep.p
+    S.data %= p  # S is _split's own matrix, not the memo's
+    diag = (S.diagonal() + D) % p
+    src = np.repeat(np.arange(rep.dim), np.diff(S.indptr))
+    dst = S.indices.astype(np.intp)  # numpy indexes faster with intp than int32
+    edge = (src != dst) & (S.data != 0)  # the entries that fall to 0 mod p stay stored in S
+    live = np.zeros(p, dtype=bool)  # live[d]: c = -d is in cs and not known to be singular
+    live[[-c % p for c in cs]] = True
+    core = _trim(src[edge], dst[edge], diag, live)
+    if core is not None:
+        for B in _dense_blocks(S, diag, *core):
+            eye = np.eye(len(B), dtype=np.int64)
+            for d in np.flatnonzero(live):
+                live[d] = rank_mod_p(B - d * eye, p) == len(B)
+            if not live.any():
+                break
+    return [c for c in cs if not live[-c % p]]
+
+
+def invertible_in_rep(u: UEElement, rep: MatrixRep) -> bool:
+    """True iff u acts invertibly on the module: the scan (_singular) at c = 0,
+    which stops at the first trimmed zero on the diagonal or singular block."""
+    return not _singular(u, rep, (0,))
 
 
 def singular_constants(u: UEElement, rep: MatrixRep) -> list[int]:
-    """The c in F_p, ascending, for which u + c does not act invertibly on
-    the module: the c where invertible_in_rep(u + c, rep) is False, from one
-    evaluate, which adds rho(u) = S + diag(D) once for the whole scan, and
-    one trim.  rho(u) + cI has rho(u)'s off-diagonal pattern, so each
-    trimmed vertex v is singular exactly at c = -rho(u)_vv, and only the c
-    that those leave open are ranked on the core's blocks."""
-    A, p = evaluate(u, rep), rep.p
-    diag = A.diagonal()
-    alive = _trim(A, np.zeros(rep.dim, dtype=bool))
-    singular = set((-diag[~alive] % p).tolist())
-    if len(singular) < p:
-        for B in _dense_blocks(A, diag, alive):
-            eye = np.eye(len(B), dtype=np.int64)
-            singular.update([c for c in range(p) if c not in singular and rank_mod_p((B + c * eye) % p, p) < len(B)])
-    return sorted(singular)
+    """The c in F_p, ascending, at which invertible_in_rep(u + c, rep) is
+    False, from one _split of u and one trim (_singular over F_p): the trim
+    stops once its vertices make every c singular, and the core's blocks are
+    ranked only at the c they leave open."""
+    return _singular(u, rep, range(rep.p))
 
 
 # -- representation invariants ------------------------------------------

@@ -313,20 +313,25 @@ def test_dependencies_get_witnesses(partial_candidate, b2_rep7):
         verify_independence_truncated(partial_candidate, b2_rep7, 1, order=tuples + [tuples[-1]])
 
 
-def test_zero_rep_dependencies_pinned(b2_p7, partial_candidate):
-    # every generator acts by 0 on a 1-dim space, so each element evaluates
-    # to its constant term: the identity spans, and 14 of 15 tuples depend
-    L = b2_p7
-    zero = MatrixRep(
-        algebra=L,
+@pytest.fixture
+def zero_rep(b2_p7):
+    """B2 at p = 7 on a 1-dim space where every generator acts by 0, with a
+    fresh product memo for each test."""
+    return MatrixRep(
+        algebra=b2_p7,
         p=7,
         dim=1,
         neg_positions=(),
-        generators={b.position: sp.csr_matrix((1, 1), dtype=np.int64) for b in L.basis},
-        chi=Character(L, {}),
+        generators={b.position: sp.csr_matrix((1, 1), dtype=np.int64) for b in b2_p7.basis},
+        chi=Character(b2_p7, {}),
         lam={},
     )
-    rpt = verify_independence_truncated(partial_candidate, zero, 2)
+
+
+def test_zero_rep_dependencies_pinned(zero_rep, partial_candidate):
+    # every generator acts by 0 on a 1-dim space, so each element evaluates
+    # to its constant term: the identity spans, and 14 of 15 tuples depend
+    rpt = verify_independence_truncated(partial_candidate, zero_rep, 2)
     assert (rpt.count, rpt.rank) == (15, 1)
     assert rpt.witnesses == [
         {(0, 0, 0, 1): 1},
@@ -345,7 +350,7 @@ def test_zero_rep_dependencies_pinned(b2_p7, partial_candidate):
         {(2, 0, 0, 0): 1},
     ]
     for combo in rpt.witnesses:
-        total = sum(c * evaluate(partial_candidate.element(t), zero) for t, c in combo.items())
+        total = sum(c * evaluate(partial_candidate.element(t), zero_rep) for t, c in combo.items())
         assert not (total.toarray() % 7).any()
 
 
@@ -522,26 +527,17 @@ def test_gen_bi_refuses_families_beyond_the_mds_bound(monkeypatch, b3_p7):
     assert str(info.value) == "no admissible family of 10 vectors found at p = 7"
 
 
-def test_deficient_rank_forms_no_product_or_evaluation(monkeypatch, b2_p7, partial_candidate):
+def test_deficient_rank_forms_no_product_or_evaluation(monkeypatch, zero_rep, partial_candidate):
     # the fallback builds each matrix from the factor elements applied to the
     # identity; the witnesses are those pinned in test_zero_rep_dependencies_pinned
-    zero = MatrixRep(
-        algebra=b2_p7,
-        p=7,
-        dim=1,
-        neg_positions=(),
-        generators={b.position: sp.csr_matrix((1, 1), dtype=np.int64) for b in b2_p7.basis},
-        chi=Character(b2_p7, {}),
-        lam={},
-    )
-    expected = verify_independence_truncated(partial_candidate, zero, 2)
+    expected = verify_independence_truncated(partial_candidate, zero_rep, 2)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the independence check must not form a product or evaluate one")
 
     monkeypatch.setattr("modlie.leebasis.LeeCandidate.element", forbidden)
     evaluated = recording_evaluate(monkeypatch)
-    rpt = verify_independence_truncated(partial_candidate, zero, 2)
+    rpt = verify_independence_truncated(partial_candidate, zero_rep, 2)
     assert (rpt.count, rpt.rank) == (15, 1)
     assert rpt.witnesses == expected.witnesses
     assert len(rpt.witnesses) == 14
@@ -549,22 +545,13 @@ def test_deficient_rank_forms_no_product_or_evaluation(monkeypatch, b2_p7, parti
 
 
 @pytest.mark.parametrize("limit", [3, 4])
-def test_independence_stack_limit(monkeypatch, b2_p7, partial_candidate, limit):
+def test_independence_stack_limit(monkeypatch, zero_rep, partial_candidate, limit):
     # on the 1-dim zero rep the stack is 15 tuples x 1 cell: above 3^2
     # entries it is refused before np.zeros allocates it, within 4^2 it is
     # eliminated and gives the witnesses pinned in test_zero_rep_dependencies_pinned
     import modlie.redenv
 
-    zero = MatrixRep(
-        algebra=b2_p7,
-        p=7,
-        dim=1,
-        neg_positions=(),
-        generators={b.position: sp.csr_matrix((1, 1), dtype=np.int64) for b in b2_p7.basis},
-        chi=Character(b2_p7, {}),
-        lam={},
-    )
-    expected = verify_independence_truncated(partial_candidate, zero, 2).witnesses
+    expected = verify_independence_truncated(partial_candidate, zero_rep, 2).witnesses
     shapes = []
     zeros = np.zeros
 
@@ -576,11 +563,34 @@ def test_independence_stack_limit(monkeypatch, b2_p7, partial_candidate, limit):
     monkeypatch.setattr(np, "zeros", recording)
     if limit == 3:
         with pytest.raises(ModuleTooLarge, match="15 tuples x 1 cells exceeds the limit of 3"):
-            verify_independence_truncated(partial_candidate, zero, 2)
+            verify_independence_truncated(partial_candidate, zero_rep, 2)
         assert (15, 1) not in shapes
     else:
-        assert verify_independence_truncated(partial_candidate, zero, 2).witnesses == expected
+        assert verify_independence_truncated(partial_candidate, zero_rep, 2).witnesses == expected
         assert (15, 1) in shapes
+
+
+def test_independence_stack_limit_raises_before_every_matrix_is_formed(monkeypatch, zero_rep, partial_candidate):
+    # on the 1-dim zero rep only the factor B_2 + A_2 acts by 1, so the
+    # matrix of (0, 2, 0, 0) fills the one cell; formed first, it already
+    # makes the stack 15 tuples x 1 cell > 3^2, and the check raises before it
+    # forms the other 14 matrices
+    import modlie.redenv
+
+    first = (0, 2, 0, 0)
+    order = [first] + [tup for tup in partial_candidate.tuples_with_bound(2) if tup != first]
+    calls = []
+    matmul = MatrixRep.matmul
+    monkeypatch.setattr(MatrixRep, "matmul", lambda self, A, B: calls.append(1) or matmul(self, A, B))
+    assert verify_independence_truncated(partial_candidate, zero_rep, 2, order=order).rank == 1
+    every = len(calls)
+    calls.clear()
+    monkeypatch.setattr(modlie.redenv, "MAX_DENSE_DIM", 3)
+    with pytest.raises(ModuleTooLarge, match="15 tuples x 1 cells exceeds the limit of 3"):
+        verify_independence_truncated(partial_candidate, zero_rep, 2, order=order)
+    # the factor matrices come from the module's warm memo, so every product
+    # formed is one of the first matrix; unlimited, the fallback formed all 24
+    assert len(calls) == sum(first) == 2 and every >= sum(map(sum, order)) == 24
 
 
 def test_rep_cross_check_reuses_the_solve(monkeypatch, b2_p7):

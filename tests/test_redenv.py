@@ -355,6 +355,17 @@ def sparse_patterns(draw, shape):
     return n, edges
 
 
+def full_trim(A):
+    """The core's vertices and its edges (src, dst) after _trim of A's
+    off-diagonal pattern run to the end: every vertex has diagonal value 0
+    and only the value 1 is watched, so no deletion stops the trim."""
+    C = A.tocoo()
+    off = C.row != C.col
+    src, dst = (side[off].astype(np.intp) for side in (C.row, C.col))
+    src, dst = _trim(src, dst, np.zeros(A.shape[0], dtype=np.intp), np.array([False, True]))
+    return np.unique(src), src, dst
+
+
 @pytest.mark.parametrize("shape", ["random", "self_loops", "empty_rows", "long_cycle", "short_cycles", "dag"])
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
@@ -364,10 +375,10 @@ def test_trim_then_components_matches_csgraph(shape, data, a1_p5):
     A = sp.csr_matrix((np.ones(len(edges), dtype=np.int64), (rows, cols)), shape=(n, n))
     # the blocks as invertible_in_rep finds them: each trimmed vertex alone,
     # then the components of the core, each labelled by its least vertex
-    core = np.flatnonzero(_trim(A, np.zeros(n, dtype=bool)))
+    core, src, dst = full_trim(A)
     C = A[core][:, core]
     labels, expected = n + np.arange(n), n + np.arange(n)
-    labels[core] = core[_components(C)]
+    labels[core] = _components(src, dst, n)[core]
     expected[core] = connected_components(C, directed=True, connection="weak")[1]
     assert partition(labels) == partition(expected)
     assert (labels[labels[core]] == labels[core]).all() and (labels[core] <= core).all()
@@ -984,14 +995,14 @@ def test_casimir_scan_forms_each_suffix_once_per_module(monkeypatch, b2_p7):
         singular = [[c for c in range(7) if not invertible_in_rep(w + c, rep)] for w in casimirs]
         assert singular == [[0, 3, 5, 6]] * 2
         assert len(products) == expected
-    # singular_constants evaluates each Casimir once, from the warm memo
+    # singular_constants sums each Casimir once (_split), from the warm memo
     import modlie.redenv as redenv
 
-    evaluated = []
-    monkeypatch.setattr(redenv, "evaluate", lambda u, rep: evaluated.append(u) or evaluate(u, rep))
+    split, summed = redenv._split, []
+    monkeypatch.setattr(redenv, "_split", lambda u, rep: summed.append(u) or split(u, rep))
     products.clear()
     assert [singular_constants(w, rep) for w in casimirs] == [[0, 3, 5, 6]] * 2
-    assert len(products) == 0 and evaluated == casimirs
+    assert len(products) == 0 and summed == casimirs
 
 
 def test_repeat_irreducibility_test_forms_no_product(monkeypatch):
@@ -1072,12 +1083,34 @@ def test_case_i_body_cores_split_into_weight_blocks(b2_rep7):
     weights = np.stack([rep.generators[L.hpos(i)].diagonal() for i in (1, 2)])
     for label in ("-e1+e2", "-e1-e2"):
         A = evaluate(to_ue(bodies[label], L.enveloping(), signs={1: 1, 2: 1}, c_value=0), rep)
-        core = np.flatnonzero(_trim(A, np.zeros(rep.dim, dtype=bool)))
-        labels = _components(A[core][:, core])
+        core, src, dst = full_trim(A)
+        labels = _components(src, dst, rep.dim)[core]
         sizes = np.bincount(labels)
         assert (core.size, np.count_nonzero(sizes), sizes.max()) == (2305, 117, 37)
         # each vertex has the weights of its component's least vertex
-        assert np.array_equal(weights[:, core], weights[:, core[labels]])
+        assert np.array_equal(weights[:, core], weights[:, labels])
+
+
+def test_trimmed_vertices_decide_the_scan_without_a_rank(monkeypatch, b2_rep7):
+    # the case-I -e1+e2 body, signs (+, +), keeps a core of 2305 vertices,
+    # but its trimmed vertices already make every c in F_7 singular, and the
+    # case-I shifted Casimir has a trimmed vertex with a zero diagonal entry:
+    # both scans stop in the trim, so no block is made dense or ranked
+    import modlie.redenv as redenv
+
+    rep = b2_rep7
+    L = rep.algebra
+    U = L.enveloping()
+    body = next(spec.body for spec in build_case_I(L) if spec.target.label == "-e1+e2")
+    e, h, f = (U.from_lie(x) for x in L.sl2_triple(case_alpha(L, "I")))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the trimmed vertices decide every c of the scan")
+
+    monkeypatch.setattr(redenv, "_dense_blocks", forbidden)
+    monkeypatch.setattr(redenv, "rank_mod_p", forbidden)
+    assert singular_constants(to_ue(body, U, signs={1: 1, 2: 1}, c_value=0), rep) == list(range(7))
+    assert not invertible_in_rep((h + 1) ** 2 + 4 * f * e, rep)
 
 
 @pytest.mark.parametrize("p, expected", [(7, [0, 3, 5, 6]), (11, [0, 2, 6, 7, 8, 10])])
