@@ -14,7 +14,8 @@ Commands
 Exit codes: 0 all asserted checks passed; 1 a check produced a counterexample
 (with certificate); 2 usage or configuration error, including a p too large
 for exact int64 arithmetic, a span, chi/lambda key or --extend-h value that
-is not an element of L (or not Cartan), and a lambda index beyond the rank;
+is not an element of L (or not Cartan), a lambda index beyond the rank, a
+config file that is not UTF-8 and an --out file that cannot be written;
 3 inconclusive verdicts present.  Warnings, such
 as running at a small characteristic, are written as one `warning:` line.  Reports are JSON with sorted keys: identical config and seed give
 byte-identical bytes.
@@ -131,21 +132,23 @@ def _parse_assignments(text: str) -> dict[str, int]:
 def load_config_file(path: str) -> dict:
     values: dict = {}
     try:
-        fh = open(path, encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
     except OSError as ex:
         raise ConfigError(f"cannot read {path}: {ex.strerror}") from None
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value")
-            key, val = line.split("=", 1)
-            key = key.strip()
-            if key not in CONFIG_FIELDS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = val.strip()
+    except UnicodeDecodeError:
+        raise ConfigError(f"cannot read {path}: not UTF-8 text") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value")
+        key, val = line.split("=", 1)
+        key = key.strip()
+        if key not in CONFIG_FIELDS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        values[key] = val.strip()
     return values
 
 
@@ -175,7 +178,7 @@ def _character(L: LieAlgebra, cfg: RunConfig) -> Character:
 def _lambda(L: LieAlgebra, cfg: RunConfig) -> dict[int, int]:
     out: dict[int, int] = {}
     for key, v in cfg.lam.items():
-        if key.isdigit():
+        if xp.is_digits(key):
             if not 1 <= int(key) <= L.l:
                 raise ConfigError(f"lambda index {key} is outside 1..{L.l}")
             out[int(key)] = v
@@ -205,12 +208,14 @@ def _report(kind: str, cfg: RunConfig, fields: dict) -> dict:
 
 
 def _emit(report: dict, cfg: RunConfig, human: str) -> None:
-    print(human)
+    """Print the human line and the report, or write the report to cfg.out
+    first, so that a file that cannot be written leaves stdout empty."""
     payload = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as fh:
             fh.write(payload)
-    else:
+    print(human)
+    if not cfg.out:
         print(payload, end="")
 
 
@@ -531,6 +536,9 @@ def main(argv: list[str] | None = None) -> int:
         # the reader closed stdout early (| head): the answer stands, and
         # pointing stdout at devnull keeps the exit-time flush from failing
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except OSError as ex:
+        print(f"error: cannot write {ex.filename or 'stdout'}: {ex.strerror}", file=sys.stderr)
+        return 2
     return code
 
 

@@ -11,7 +11,8 @@ Grammar (whitespace separates tokens; juxtaposition multiplies):
     sterm   := nat? 'e' nat                   # optional integer multiplier
 
 ``h(i)`` with a bare integer denotes the i-th simple coroot, 1 <= i <= rank;
-``h(<roots>)`` denotes the coroot attached to that root.  Parse errors carry line/column.
+``h(<roots>)`` denotes the coroot attached to that root.  A nat is one or more
+ASCII digits 0-9.  Parse errors carry line/column.
 
 Template-only nodes (Const, SignSlot) are printable and evaluable but not
 parseable; they appear in generated verification templates, where a sign
@@ -102,6 +103,12 @@ Expr = object
 # -- parser -------------------------------------------------------------
 
 
+def is_digits(text: str) -> bool:
+    """True when text is one or more ASCII digits: str.isdigit alone also
+    accepts characters such as '²', which int() refuses."""
+    return text.isascii() and text.isdigit()
+
+
 class _Scanner:
     def __init__(self, text: str):
         self.text = text
@@ -134,7 +141,7 @@ class _Scanner:
     def nat(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while is_digits(self.text[self.pos : self.pos + 1]):
             self.pos += 1
         if self.pos == start:
             self.error("expected a number")
@@ -153,9 +160,8 @@ def _parse_roots(s: _Scanner) -> dict[int, int]:
             s.pos += 1
         elif not first:
             break
-        s.skip_ws()
         mult = 1
-        if s.pos < len(s.text) and s.text[s.pos].isdigit():
+        if is_digits(s.peek()):
             mult = s.nat()
         if s.peek() != "e":
             if first:
@@ -174,18 +180,8 @@ def _parse_roots(s: _Scanner) -> dict[int, int]:
     return coefs
 
 
-def _fit(coords: tuple[int, ...], dim: int) -> tuple[int, ...] | None:
-    if len(coords) == dim:
-        return coords
-    if len(coords) < dim:
-        return coords + (0,) * (dim - len(coords))
-    if any(coords[dim:]):
-        return None
-    return coords[:dim]
-
-
 class _Parser:
-    def __init__(self, text: str, rs: RootSystem | None):
+    def __init__(self, text: str, rs: RootSystem):
         self.s = _Scanner(text)
         self.rs = rs
 
@@ -218,7 +214,7 @@ class _Parser:
             if ch == "*":
                 self.s.pos += 1
                 factors.append(self.factor())
-            elif ch and (ch.isdigit() or ch in "xh[("):
+            elif ch and (is_digits(ch) or ch in "xh[("):
                 factors.append(self.factor())
             else:
                 break
@@ -237,17 +233,16 @@ class _Parser:
         raise UnknownRoot(f"{what} of {self.rs.family}{self.rs.rank} at line {line}, column {col}")
 
     def _root_coords(self, what: str) -> tuple[int, ...]:
-        """Coordinates of the roots read: as many as the system's dimension,
-        or without a system as the largest index read.  An index above the
-        dimension with a nonzero net coefficient names no root, and is
-        refused before any coordinates are built."""
+        """Coordinates of the roots read, as many as the system's dimension.
+        An index above the dimension with a nonzero net coefficient names no
+        root, and is refused before any coordinates are built."""
         start = self.s.pos
         coefs = _parse_roots(self.s)
-        dim = max(coefs) if self.rs is None else self.rs.dim
+        dim = self.rs.dim
         if any(c and i > dim for i, c in coefs.items()):
             self._unknown(f"{what} names no root", start)
         coords = tuple(coefs.get(i, 0) for i in range(1, dim + 1))
-        if self.rs is not None and Root(coords) not in self.rs:
+        if Root(coords) not in self.rs:
             self._unknown(f"{what} names no root", start)
         return coords
 
@@ -265,10 +260,10 @@ class _Parser:
             self.s.skip_ws()
             # bare integer means a simple-coroot index
             save = self.s.pos
-            if self.s.pos < len(self.s.text) and self.s.text[self.s.pos].isdigit():
+            if is_digits(self.s.peek()):
                 n = self.s.nat()
                 if self.s.peek() == ")":
-                    if self.rs is not None and not 1 <= n <= self.rs.rank:
+                    if not 1 <= n <= self.rs.rank:
                         self._unknown(f"h({n}) names no simple coroot", save)
                     self.s.take(")")
                     return HAtom(simple=n)
@@ -288,13 +283,13 @@ class _Parser:
             e = self.element()
             self.s.take(")")
             return e
-        if ch.isdigit():
+        if is_digits(ch):
             return Num(self.s.nat())
         self.s.error("expected an atom")
 
 
-def parse(text: str, rs: RootSystem | None = None) -> Expr:
-    """Parse an expression; validates root atoms against rs when given."""
+def parse(text: str, rs: RootSystem) -> Expr:
+    """Parse an expression whose root atoms are roots of rs."""
     return _Parser(text, rs).run()
 
 
@@ -362,7 +357,6 @@ def to_ue(e: Expr, uea, signs: dict[int, int] | None = None, c_value: int = 0):
     `c_value`.  Multiplication preserves the written factor order.
     """
     lie = uea.lie
-    rs = lie.rs
 
     def ev(node):
         if isinstance(node, Num):
@@ -374,17 +368,11 @@ def to_ue(e: Expr, uea, signs: dict[int, int] | None = None, c_value: int = 0):
                 raise ValueError(f"unresolved sign slot {node.index}")
             return uea.scalar(signs[node.index])
         if isinstance(node, XAtom):
-            fitted = _fit(node.coords, rs.dim)
-            if fitted is None:
-                raise UnknownRoot(f"x atom {node.coords} outside the system")
-            return uea.gen(lie.xpos(Root(fitted)))
+            return uea.gen(lie.xpos(Root(node.coords)))
         if isinstance(node, HAtom):
             if node.simple is not None:
                 return uea.gen(lie.hpos(node.simple))
-            fitted = _fit(node.coords, rs.dim)
-            if fitted is None:
-                raise UnknownRoot(f"h atom {node.coords} outside the system")
-            return uea.from_lie(lie.coroot_expand(Root(fitted)))
+            return uea.from_lie(lie.coroot_expand(Root(node.coords)))
         if isinstance(node, Add):
             out = uea.zero()
             for item in node.items:

@@ -134,6 +134,14 @@ BAD_INPUTS = [
         "names no simple coroot",
     ),
     (["normalform", "--family", "B", "--rank", "2", "--p", "7", "x(e10000000000)"], None, "x(...) names no root of B2"),
+    # digits other than ASCII 0-9, which str.isdigit accepts and int() refuses
+    (["normalform", "x(+e1)^²", "--family", "A", "--rank", "1", "--p", "7"], None, "expected a number at line 1, column 8"),
+    (["normalform", "x(e²)", "--family", "A", "--rank", "1", "--p", "7"], None, "expected a number at line 1, column 4"),
+    (["normalform", "²", "--family", "A", "--rank", "1", "--p", "7"], None, "expected an atom at line 1, column 1"),
+    (["normalform", "h(²)", "--family", "A", "--rank", "1", "--p", "7"], None, "expected 'e<index>' at line 1, column 3"),
+    (["irreducible", "--family", "A", "--rank", "1", "--p", "7", "--lambda", "²=1"], None, "bad basis token '²'"),
+    (["roots"], "p=\xff\n", "not UTF-8"),
+    (["roots", "--out", "missing/x.json"], None, "error: cannot write missing/x.json: No such file"),
 ]
 
 
@@ -141,7 +149,9 @@ BAD_INPUTS = [
 def test_bad_input_exits_two_with_one_line(tmp_path, monkeypatch, capsys, argv, config, fragment):
     monkeypatch.chdir(tmp_path)
     if config is not None:
-        (tmp_path / "bad.cfg").write_text(config)
+        # latin-1 writes each character below 256 as that byte, so a config
+        # can hold bytes that are not UTF-8
+        (tmp_path / "bad.cfg").write_bytes(config.encode("latin-1"))
         argv = argv + ["--config", "bad.cfg"]
     code, out, err = run_main(capsys, *argv)
     assert code == 2

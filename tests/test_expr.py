@@ -30,9 +30,9 @@ def test_parse_atoms(a1_rs):
     assert parse("x(+e1)", a1_rs) == XAtom((1,))
     assert parse("x(e1)", a1_rs) == XAtom((1,))
     assert parse("x(-e1)", a1_rs) == XAtom((-1,))
-    assert parse("h(1)") == HAtom(simple=1)
+    assert parse("h(1)", a1_rs) == HAtom(simple=1)
     assert parse("h(e1)", a1_rs) == HAtom(coords=(1,))
-    assert parse("42") == Num(42)
+    assert parse("42", a1_rs) == Num(42)
 
 
 def test_parse_casimir_commutator(a1_rs):
@@ -54,9 +54,9 @@ def test_parse_subtraction(b2_rs):
     assert e.items[0] == HAtom(simple=1)
 
 
-def test_parse_error_position():
+def test_parse_error_position(a1_rs):
     with pytest.raises(ParseError) as exc:
-        parse("x(+e1")
+        parse("x(+e1", a1_rs)
     assert exc.value.line == 1
     assert exc.value.col >= 5
 
@@ -92,7 +92,6 @@ def test_a_huge_root_index_is_refused_without_its_coordinates(b2_rs):
         tracemalloc.stop()
     # an index above the dimension whose net coefficient is zero names nothing
     assert parse("x(e1 + e9 - e9)", b2_rs) == XAtom((1, 0))
-    assert parse("x(e1 + e3 - e3)") == XAtom((1, 0, 0))
 
 
 def test_leading_minus_matches_an_inner_one(b2_rs):
