@@ -152,28 +152,88 @@ class DenseEchelon:
     def insert(self, vec: np.ndarray) -> bool:
         """Insert a vector; True if it enlarged the span."""
         v = self.reduce(vec)
-        nz = np.flatnonzero(v)
-        if nz.size == 0:
-            return False
-        piv = int(nz[0])
-        v = (v * inv_mod(v[piv], self.p)) % self.p
         r = self.rank
-        if r == len(self._pivots):
+        if r == len(self._pivots) < v.size:  # at full width, v reduces to zero
             pad = min(max(r, 8), v.size - r)  # double, up to the width
             # reshape gives the empty start array its width
             self._rows = np.vstack([self.rows.reshape(r, v.size), np.zeros((pad, v.size), np.int64)])
             self._pivots = np.concatenate([self.pivots, np.zeros(pad, np.int64)])
-        rows = self.rows
-        hit = np.flatnonzero(rows[:, piv])
-        if hit.size:
-            rows[hit] = (rows[hit] - np.outer(rows[hit, piv], v)) % self.p
-        self._rows[r] = v
-        self._pivots[r] = piv
+        if not _place(self._rows, self._pivots, r, v, self.p):
+            return False
         self.rank += 1
         return True
 
     def contains(self, vec: np.ndarray) -> bool:
         return not np.any(self.reduce(vec))
+
+
+def _place(rows: np.ndarray, pivots: np.ndarray, r: int, v: np.ndarray, p: int) -> bool:
+    """Store v, residues already reduced by the reduced rows rows[:r], as row
+    r unless it is zero: scaled to a 1 at its first nonzero column, which is
+    cleared from rows[:r] to keep them reduced."""
+    nz = v.nonzero()[0]
+    if nz.size == 0:
+        return False
+    piv = nz[0]
+    v = v * inv_mod(v[piv], p) % p
+    if r:
+        col = rows[:r, piv]
+        hit = col.nonzero()[0]
+        if hit.size:
+            rows[hit] = (rows[hit] - np.outer(col[hit], v)) % p
+    rows[r] = v
+    pivots[r] = piv
+    return True
+
+
+class BlockEchelon:
+    """Reduced row echelon basis over F_p of a subspace of F_p^d that is the
+    sum of its parts in the coordinate blocks blocks[b] (ascending index
+    arrays that partition 0..d-1): one basis per block, each in block
+    coordinates, in an array of sizes[b]^2 zeros made up front.  A vector of
+    block b reduces in one product over the rows of that block whose pivots
+    it meets, a sum of at most max(sizes) residue products, checked once here."""
+
+    def __init__(self, p: int, blocks: list[np.ndarray]):
+        self.p = p
+        self.blocks = blocks
+        self.sizes = [idx.size for idx in blocks]
+        check_int64_sum(p, max(self.sizes))
+        self.rank = 0
+        self.ranks = [0] * len(blocks)
+        self.block_rows = [np.zeros((n, n), dtype=np.int64) for n in self.sizes]
+        self.block_pivots = [np.zeros(n, dtype=np.int64) for n in self.sizes]
+
+    def insert(self, b: int, v: np.ndarray) -> bool:
+        """Insert v, residues mod p in the coordinates of block b; True if it
+        enlarged the span."""
+        R, r = self.block_rows[b], self.ranks[b]
+        coef = v[self.block_pivots[b][:r]]
+        hit = coef.nonzero()[0]
+        if hit.size:
+            v = (v - coef[hit] @ R[hit]) % self.p
+        if not _place(R, self.block_pivots[b], r, v, self.p):
+            return False
+        self.ranks[b] += 1
+        self.rank += 1
+        return True
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The basis as rank x d rows, by ascending pivot: the reduced row
+        echelon form of the whole subspace, since each row is 0 outside its
+        block and its block is ascending."""
+        d = sum(self.sizes)
+        out = np.zeros((self.rank, d), dtype=np.int64)
+        pivots = np.zeros(self.rank, dtype=np.int64)
+        k = 0
+        for idx, R, P, r in zip(self.blocks, self.block_rows, self.block_pivots, self.ranks):
+            out[k : k + r, idx] = R[:r]
+            pivots[k : k + r] = idx[P[:r]]
+            k += r
+        row_of = np.full(d, -1)  # the row whose pivot each column is, if any
+        row_of[pivots] = np.arange(self.rank)
+        return out[row_of[row_of >= 0]]
 
 
 class FractionEchelon:

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .chevalley import LieAlgebra, MixedAlgebras
-from .linalg import DenseEchelon, check_int64_sum, kernel_mod_p, rank_mod_p
+from .linalg import BlockEchelon, check_int64_sum, kernel_mod_p, rank_mod_p
 from .pbw import Mono, UEElement
 
 
@@ -48,9 +48,12 @@ MAX_MODULE_DIM = 2**15
 
 # largest module that is_irreducible tests: it holds d x d int64 arrays (the
 # Krylov matrix, theta, theta - c and an elimination copy), 134 MB each at
-# 2^12 and 1.7 GB at B2 p = 11 (d = 11^4); also the largest connected component
-# of a trimmed core whose block _dense_blocks makes dense, and its square
-# the largest dense stack (tuples x cells) that the independence check eliminates
+# 2^12 and 1.7 GB at B2 p = 11 (d = 11^4); its spins' echelon and each
+# generator's block maps hold d n entries for weight blocks of n <= sqrt(d)
+# vectors (_grading), the trivial grading's echelon d^2.  Also the largest
+# connected component of a trimmed core whose block _dense_blocks makes dense,
+# and its square the largest dense stack (tuples x cells) that the
+# independence check eliminates
 MAX_DENSE_DIM = 2**12
 
 
@@ -543,17 +546,85 @@ class IrreducibilityVerdict:
         return self.status == "irreducible"
 
 
-def _spin(v: np.ndarray, gens: sp.csr_matrix, p: int) -> DenseEchelon:
-    """Echelon basis of the submodule that v generates; gens stacks the
-    generator matrices vertically, so one product gives every image of a row."""
-    ech = DenseEchelon(p)
-    ech.insert(v)
-    k = 0
-    while k < ech.rank < v.size:
-        for w in (gens @ ech.rows[k]).reshape(-1, v.size) % p:
-            if ech.insert(w) and ech.rank == v.size:
-                break
-        k += 1
+def _grading(rep: MatrixRep) -> tuple[list[np.ndarray], list[list[tuple]]]:
+    """The weight blocks of rep and its generators' maps between them, as
+    (blocks, maps): blocks[b] is an ascending index array, and maps[b] holds
+    (t, M) for each generator, in basis order, with an entry in block b's
+    columns, M its dense block from block b into block t.  A block is the
+    basis vectors of one tuple of coroot diagonals (rho(h_1)_vv, ...), in
+    ascending tuple order; its projection is a polynomial in the diagonal
+    rho(h_i) over F_p, so a submodule is the sum of its parts in the blocks.
+
+    The trivial grading (one block; the maps are the sparse generators) comes
+    back instead when some rho(h_i) is not diagonal (u's weight components
+    need not lie in U u then), when a generator maps a block into two, or
+    when the maps, padded to the largest block, would hold more than
+    d isqrt(d) entries per generator: a fixed rule that grades equal blocks
+    of at most sqrt(d) vectors, as A1's and B2's baby Verma modules have."""
+    L, d, p = rep.algebra, rep.dim, rep.p
+    gens = [rep.generators[b.position] for b in L.basis]
+    trivial = [np.arange(d)], [[(0, G) for G in gens]]
+    diags = [_monomial_matrix(((L.hpos(i), 1),), rep)[1] for i in range(1, L.l + 1)]
+    if any(diag is None for diag in diags):
+        return trivial
+    labels = np.array(diags) % p  # one row per coroot
+    order = np.lexsort(labels[::-1])  # stable, by label tuple
+    ordered = labels[:, order]
+    block = np.empty(d, dtype=np.int64)
+    block[order] = np.cumsum(np.r_[True, (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)]) - 1
+    sizes = np.bincount(block)
+    n = sizes.max()
+    if sizes.size * n * n > d * math.isqrt(d):
+        return trivial
+    ends = np.cumsum(sizes)
+    local = np.empty(d, dtype=np.int64)
+    local[order] = np.arange(d) - np.repeat(ends - sizes, sizes)
+    sizes = sizes.tolist()
+    maps = [[] for _ in sizes]
+    for G in gens:
+        per_row = np.diff(G.indptr)
+        src, tgt = block[G.indices], np.repeat(block, per_row)
+        target = np.full(len(sizes), -1)
+        target[src] = tgt
+        if (target[src] != tgt).any():
+            return trivial
+        target = target.tolist()
+        dense = np.zeros((len(sizes), n, n), dtype=np.int64)
+        np.add.at(dense, (src, np.repeat(local, per_row), local[G.indices]), G.data % p)
+        dense %= p
+        for b, t in enumerate(target):
+            if t >= 0:
+                maps[b].append((t, dense[b, : sizes[t], : sizes[b]]))
+    return [order[e - k : e] for e, k in zip(ends.tolist(), sizes)], maps
+
+
+def _transposed(maps: list[list[tuple]]) -> list[list[tuple]]:
+    """The maps of the transposed generators on the same blocks: M from b to
+    t becomes M^T from t to b."""
+    out = [[] for _ in maps]
+    for b, pairs in enumerate(maps):
+        for t, M in pairs:
+            out[t].append((b, M.T))
+    return out
+
+
+def _spin(u: np.ndarray, blocks: list[np.ndarray], maps: list[list[tuple]], p: int) -> BlockEchelon:
+    """Reduced echelon basis of the submodule that u generates under the maps
+    of a grading (_grading, or _transposed of it), kept one block at a time.
+    Each block starts from u's component there, which lies in U u.  Each new
+    row's image under each map from its block is one block product, skipped
+    when the target block is already full, and the spin stops at rank d.
+    The trivial grading runs the same loop with one block."""
+    ech = BlockEchelon(p, blocks)
+    ranks, sizes, rows = ech.ranks, ech.sizes, ech.block_rows
+    queue = [(b, 0) for b, idx in enumerate(blocks) if ech.insert(b, u[idx])]
+    for b, i in queue:  # grows as rows are inserted
+        if ech.rank == u.size:
+            break
+        row = rows[b][i]
+        for t, M in maps[b]:
+            if ranks[t] < sizes[t] and ech.insert(t, M @ row % p):
+                queue.append((t, ranks[t] - 1))
     return ech
 
 
@@ -584,7 +655,11 @@ def is_irreducible(rep: MatrixRep, seed: int = 0, trials: int = 50) -> Irreducib
     random.Random(seed).  One vector of
     N = ker(theta - c) is spun under the generators and one of
     ker((theta - c)^T) under their transposes; a proper spin, or the
-    annihilator of a proper dual spin, is returned as a submodule.  If
+    annihilator of a proper dual spin, is returned as a submodule.  Both
+    spins are graded: the weight blocks and their maps (_grading) are made
+    once per call, and the dual spin reads them transposed.  A non-dual
+    witness is the spun submodule's reduced echelon basis, rows by ascending
+    pivot; a dual one is kernel_mod_p's basis of the annihilator.  If
     dim N = 1 and both spins are full, the module is irreducible --
     absolutely, so the image of U is all d x d matrices (Burnside) and
     span_dim = d^2.  When the trials run out the verdict is "inconclusive",
@@ -597,8 +672,8 @@ def is_irreducible(rep: MatrixRep, seed: int = 0, trials: int = 50) -> Irreducib
         raise ModuleTooLarge(f"irreducibility test at dimension {d} exceeds the limit of {MAX_DENSE_DIM}")
     check_int64_sum(p, d)  # each product below sums d residue products
     positions = [b.position for b in rep.algebra.basis]
-    gens = sp.vstack([rep.generators[q] for q in positions], format="csr")
-    duals = sp.vstack([rep.generators[q].T for q in positions], format="csr")
+    blocks, maps = _grading(rep)
+    duals = _transposed(maps)
     U = rep.algebra.enveloping()
     rng = random.Random(seed)
     for t in range(trials):
@@ -614,9 +689,10 @@ def is_irreducible(rep: MatrixRep, seed: int = 0, trials: int = 50) -> Irreducib
             A = (theta - c * np.eye(d, dtype=np.int64)) % p
             null = kernel_mod_p(A, p)
             for dual in (False, True):
-                u, G = (kernel_mod_p(A.T, p)[0], duals) if dual else (null[0], gens)
-                W = _spin(u, G, p).rows
-                if len(W) < d:
+                u, G = (kernel_mod_p(A.T, p)[0], duals) if dual else (null[0], maps)
+                ech = _spin(u, blocks, G, p)
+                if ech.rank < d:
+                    W = ech.rows
                     witness = kernel_mod_p(W, p) if dual else list(W)
                     cert = {"method": "norton", "trial": t, "dual": dual, "witness_dim": len(witness)}
                     return IrreducibilityVerdict("submodule", witness=witness, certificate=cert)

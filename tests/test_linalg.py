@@ -5,6 +5,7 @@ import pytest
 
 from modlie.linalg import (
     PANEL,
+    BlockEchelon,
     DenseEchelon,
     Int64Overflow,
     FractionEchelon,
@@ -88,6 +89,36 @@ def test_dense_echelon_rows_stay_reduced(p):
         assert ech.rank == before + grew == python_rank_mod_p(inserted, p) == len(ech.rows) == len(ech.pivots)
         assert ech.rows[:, ech.pivots].tolist() == np.eye(ech.rank, dtype=np.int64).tolist()
         assert all(ech.contains(np.array(r)) for r in inserted)
+
+
+@pytest.mark.parametrize("p", [2, 7, 65537])
+def test_block_echelon_is_the_dense_echelon_of_its_blocks(p):
+    # a graded subspace of F_p^12 over four blocks of sizes 1..5, its vectors
+    # inserted block by block: the rows are the reduced echelon form of the
+    # whole subspace, by ascending pivot
+    rng = random.Random(p)
+    order = list(range(12))
+    rng.shuffle(order)
+    blocks = [np.array(sorted(order[a:b])) for a, b in ((0, 1), (1, 4), (4, 7), (7, 12))]
+    ech, dense = BlockEchelon(p, blocks), DenseEchelon(p)
+    for _ in range(30):
+        b = rng.randrange(len(blocks))
+        v = np.array([rng.choice([0, 1, rng.randrange(p)]) for _ in blocks[b]], dtype=np.int64)
+        full = np.zeros(12, dtype=np.int64)
+        full[blocks[b]] = v
+        assert ech.insert(b, v) == dense.insert(full)
+        assert ech.rank == sum(ech.ranks) == dense.rank
+    want = dense.rows[np.argsort(dense.pivots)]
+    assert np.array_equal(ech.rows, want)
+    assert ech.ranks == [np.count_nonzero(want[:, idx].any(axis=1)) for idx in blocks]
+
+
+def test_block_echelon_refuses_blocks_beyond_exact_int64_sums():
+    p = 3037000493  # p^2 < 2^63 < 2 p^2: a block may hold one coordinate
+    ech = BlockEchelon(p, [np.array([0]), np.array([1])])
+    assert ech.insert(1, np.array([p - 1])) and ech.rows.tolist() == [[0, 1]]
+    with pytest.raises(Int64Overflow, match="int64"):
+        BlockEchelon(p, [np.array([0, 1])])
 
 
 def test_kernel_dependency_witness():

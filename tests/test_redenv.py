@@ -20,12 +20,15 @@ from modlie.chevalley import build_chevalley
 from modlie.expr import Add, to_ue
 from modlie.leebasis import build_case_I, build_case_II, case_alpha, solve_signs
 from modlie.linalg import rank_mod_p
-from modlie.pbw import UEElement, mono_degree, multiply
+from modlie.pbw import UEElement, mono_degree, multiply, weight
 from modlie.redenv import (
     Character,
     MatrixRep,
     _components,
     _eigenvalues,
+    _grading,
+    _spin,
+    _transposed,
     _trim,
     IncompatibleWeight,
     NonStandardCharacter,
@@ -40,7 +43,7 @@ from modlie.redenv import (
     rep_check_restrictedness,
     singular_constants,
 )
-from modlie.roots import Root, build_root_system
+from modlie.roots import Root, build_root_system, cartan_integer
 
 
 E1 = Root((1,))
@@ -737,6 +740,136 @@ def test_norton_words_do_not_depend_on_seed():
         rep = a1_module(31, regular)
         certs = [is_irreducible(rep, seed=seed).certificate for seed in range(5)]
         assert all(cert == certs[0] for cert in certs)
+
+
+# -- weight blocks and the graded spin ---------------------------------------
+
+
+def coroot_labels(rep):
+    """Each basis vector's tuple of coroot diagonals, one row per vector."""
+    L = rep.algebra
+    return np.array([rep.generators[L.hpos(i)].diagonal() % rep.p for i in range(1, L.l + 1)]).T
+
+
+@pytest.mark.parametrize("family, rank, p, chi", [
+    ("B", 2, 5, {(-1, 0): 1}),
+    ("B", 2, 7, {(-1, 0): 1}),
+    ("A", 2, 5, {(-1, 1, 0): 1}),
+])
+def test_generators_map_each_weight_block_into_the_block_their_weight_predicts(family, rank, p, chi):
+    L, character = pinned_module(family, rank, p, chi)
+    rep = baby_verma(L, character, {})
+    labels = coroot_labels(rep)
+    blocks, maps = _grading(rep)
+    # p^l blocks of p^(m - l) vectors, each the vectors of one label
+    assert len(blocks) == p**L.l and {idx.size for idx in blocks} == {rep.dim // p**L.l}
+    assert len({tuple(labels[idx[0]]) for idx in blocks}) == len(blocks)
+    assert all((labels[idx] == labels[idx[0]]).all() for idx in blocks)
+    U = L.enveloping()
+    expected = [[] for _ in blocks]
+    block_of = {tuple(labels[idx[0]]): t for t, idx in enumerate(blocks)}
+    for b in L.basis:
+        G = rep.generators[b.position].tocsr()
+        wt = Root(weight(U.gen(b.position)))
+        shift = np.array([cartan_integer(wt, a) if any(wt.coords) else 0 for a in L.rs.base])
+        if b.kind == "h":
+            assert not shift.any()  # a coroot maps each block to itself
+        rows, cols = G.nonzero()
+        assert (labels[rows] == (labels[cols] + shift) % p).all()
+        for s, idx in enumerate(blocks):
+            t = block_of[tuple((labels[idx[0]] + shift) % p)]
+            M = G[blocks[t]][:, idx].toarray() % p
+            if M.any():
+                expected[s].append((t, M))
+    for pairs, want in zip(maps, expected):
+        assert [t for t, _ in pairs] == [t for t, _ in want]
+        assert all(np.array_equal(M, N) for (_, M), (_, N) in zip(pairs, want))
+
+
+def trivial_grading(rep):
+    return [np.arange(rep.dim)], [[(0, rep.generators[b.position]) for b in rep.algebra.basis]]
+
+
+GRADED_SPIN_MODULES = [
+    *[(("A", 1, p), {(-1,): 1} if regular else {}) for p in (5, 7, 31) for regular in (True, False)],
+    (("B", 2, 3), {(-1, 1): 1, (0, -1): 1}),
+    (("B", 2, 5), {(-1, 1): 1}),
+]
+
+
+@pytest.mark.parametrize("algebra, chi", GRADED_SPIN_MODULES)
+def test_graded_spin_gives_the_trivial_gradings_rows(algebra, chi):
+    L, character = pinned_module(*algebra, chi)
+    rep = baby_verma(L, character, {})
+    p, d = rep.p, rep.dim
+    blocks, maps = _grading(rep)
+    assert len(blocks) > 1
+    whole, gens = trivial_grading(rep)
+    rng = np.random.default_rng(d)
+    vectors = [np.eye(d, dtype=np.int64)[k] for k in (0, 1, d // 2, d - 1)] + [rng.integers(0, p, d)]
+    ranks = []
+    for u in vectors:
+        for graded, trivial in ((maps, gens), (_transposed(maps), _transposed(gens))):
+            ech = _spin(u, blocks, graded, p)
+            rows = ech.rows
+            # reduced echelon rows by ascending pivot: the leading columns hold the identity
+            pivots = np.argmax(rows != 0, axis=1)
+            assert (np.diff(pivots) > 0).all() and np.array_equal(rows[:, pivots], np.eye(ech.rank))
+            assert np.array_equal(rows, _spin(u, whole, trivial, p).rows)
+            ranks.append(ech.rank)
+    if not chi or algebra[0] == "B" and algebra[2] == 5:
+        assert min(ranks) < d  # these modules are reducible, and some spin is proper
+
+
+def test_grading_falls_back_when_a_coroot_is_not_diagonal():
+    L, character = pinned_module("B", 2, 3, {(-1, 1): 1, (0, -1): 1})
+    rep = baby_verma(L, character, {})
+    p, d = rep.p, rep.dim
+    # rho'(x) = P rho(x) P^-1 with P = I + E_01: an isomorphic module on
+    # which the coroots of basis vectors 0 and 1 (different weights) mix
+    E01 = sp.csr_matrix(([1], ([0], [1])), shape=(d, d), dtype=np.int64)
+    P, P_inv = rep.identity() + E01, rep.identity() + (p - 1) * E01
+    conj = dataclasses.replace(rep, generators={
+        q: rep.matmul(rep.matmul(P, G), P_inv) for q, G in rep.generators.items()})
+    assert rep_check_brackets(conj)
+    assert any(conj.generators[L.hpos(i)][0, 1] % p for i in (1, 2))  # a coroot is not diagonal
+    blocks, maps = _grading(conj)
+    assert len(blocks) == 1 and np.array_equal(blocks[0], np.arange(d))
+    assert [t for t, _ in maps[0]] == [0] * L.n
+    assert all(M is conj.generators[b.position] for (_, M), b in zip(maps[0], L.basis))
+    assert is_irreducible(conj).status == "irreducible"
+
+
+def test_grading_falls_back_before_splitting_a_submodule_across_blocks():
+    # M + M for the 5-dimensional A1 module M, in the basis e_k + e'_(k+1),
+    # e_k - e'_(k+1) (e' the second copy, k mod 5): every generator maps
+    # each pair into one pair, and the coroot's diagonal labels the pairs,
+    # but rho(h) is not diagonal.  Weight blocks read off those labels would
+    # split the diagonal submodule {(x, x)} across two pairs, so the spin of
+    # (e_0, e'_0) must stay 5-dimensional
+    rep = a1_module(5, True)
+    p, d = 5, 10
+    P = np.zeros((d, d), dtype=np.int64)
+    for k in range(5):
+        P[[k, 5 + (k + 1) % 5], 2 * k] = 1, 1
+        P[[k, 5 + (k + 1) % 5], 2 * k + 1] = 1, p - 1
+    P_inv = P.T * pow(2, -1, p) % p
+    assert not (P_inv @ P % p - np.eye(d, dtype=np.int64)).any()
+    twice = dataclasses.replace(rep, dim=d, generators={
+        q: sp.csr_matrix(P_inv @ sp.block_diag([G, G]).toarray() @ P % p)
+        for q, G in rep.generators.items()})
+    assert rep_check_brackets(twice)
+    labels = coroot_labels(twice)[:, 0]
+    assert len(set(labels.tolist())) == 5  # one label per pair
+    for G in twice.generators.values():
+        rows, cols = G.nonzero()
+        moves = set(zip(labels[cols].tolist(), labels[rows].tolist()))
+        assert len(moves) == len({source for source, _ in moves})  # one target per label
+    assert twice.generators[twice.algebra.hpos(1)].count_nonzero() > d
+    blocks, maps = _grading(twice)
+    assert len(blocks) == 1
+    u = P_inv @ np.r_[1, 0, 0, 0, 0, 1, 0, 0, 0, 0] % p
+    assert _spin(u, blocks, maps, p).rank == 5
 
 
 def test_restricted_monomial_count_a1():
