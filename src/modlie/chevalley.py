@@ -31,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import DenseEchelon, FractionEchelon
+from .linalg import BlockEchelon, FractionEchelon
 from .roots import Root, RootSystem, RootNotInSystem, cartan_integer, root_string
 
 
@@ -386,19 +386,19 @@ class SubalgebraVerdict:
         return self.closed
 
 
-def _echelon_for(alg: LieAlgebra):
-    if alg.p:
-        return DenseEchelon(alg.p)
-    return FractionEchelon(alg.n)
-
-
 def check_subalgebra(span: list[LieElement], ambient: LieAlgebra) -> SubalgebraVerdict:
-    """Closed iff all pairwise brackets lie in the exact linear span."""
+    """Closed iff all pairwise brackets lie in the exact linear span (one
+    block of BlockEchelon over F_p, FractionEchelon over Q); the first
+    bracket that enlarges the span is the witness."""
     for u in span:
         ambient.check_same(u.algebra)
-    ech = _echelon_for(ambient)
+    if ambient.p:
+        ech = BlockEchelon(ambient.p, [np.arange(ambient.n)])
+        insert = lambda vec: ech.insert(0, np.array(vec, dtype=np.int64))
+    else:
+        insert = FractionEchelon(ambient.n).insert
     for u in span:
-        ech.insert(u.dense())
+        insert(u.dense())
     for i, u in enumerate(span):
         for j, v in enumerate(span):
             if j < i:
@@ -406,7 +406,7 @@ def check_subalgebra(span: list[LieElement], ambient: LieAlgebra) -> SubalgebraV
             w = bracket(u, v)
             if w.is_zero:
                 continue
-            if not ech.contains(w.dense()):
+            if insert(w.dense()):
                 return SubalgebraVerdict(False, (i, j, w))
     return SubalgebraVerdict(True)
 

@@ -13,6 +13,11 @@ point: greedy one-pivot elimination inside the panel, then one forward
 substitution for the panel's pivot rows, one product for the rows below and
 one reduction mod p for all the columns after it.  W falls to 1 near
 p = 3.04e9, and a matrix narrower than 2 W columns is one panel.
+
+`BlockEchelon`, the one incremental echelon over F_p, keeps a reduced basis
+one coordinate block at a time (Norton's graded spin; `check_subalgebra` uses
+one block), so its kernel basis is read off its rows, not eliminated.
+`FractionEchelon` is the incremental echelon over Q.
 """
 
 from __future__ import annotations
@@ -117,103 +122,49 @@ def kernel_mod_p(A: np.ndarray, p: int) -> list[np.ndarray]:
     return list(X)
 
 
-class DenseEchelon:
-    """Incremental reduced row echelon basis over F_p for dense integer vectors.
-
-    Row i has a 1 in column pivots[i] and a 0 in every other pivot column, so
-    a vector reduces in one product over the pivots it meets.  The rows live
-    in one array whose capacity doubles as the rank grows."""
-
-    def __init__(self, p: int):
-        self.p = p
-        self.rank = 0
-        self._rows = np.zeros((0, 0), dtype=np.int64)
-        self._pivots = np.zeros(0, dtype=np.int64)
-
-    @property
-    def rows(self) -> np.ndarray:
-        return self._rows[: self.rank]
-
-    @property
-    def pivots(self) -> np.ndarray:
-        return self._pivots[: self.rank]
-
-    def reduce(self, vec: np.ndarray) -> np.ndarray:
-        check_int64_sum(self.p, 1)
-        v = np.array(vec, dtype=np.int64, copy=True) % self.p
-        coef = v[self.pivots]
-        hit = np.flatnonzero(coef)
-        step = int64_terms(self.p)  # residue products per exact partial sum of coef @ rows
-        for s in range(0, hit.size, step):
-            part = hit[s : s + step]
-            v = (v - coef[part] @ self._rows[part]) % self.p
-        return v
-
-    def insert(self, vec: np.ndarray) -> bool:
-        """Insert a vector; True if it enlarged the span."""
-        v = self.reduce(vec)
-        r = self.rank
-        if r == len(self._pivots) < v.size:  # at full width, v reduces to zero
-            pad = min(max(r, 8), v.size - r)  # double, up to the width
-            # reshape gives the empty start array its width
-            self._rows = np.vstack([self.rows.reshape(r, v.size), np.zeros((pad, v.size), np.int64)])
-            self._pivots = np.concatenate([self.pivots, np.zeros(pad, np.int64)])
-        if not _place(self._rows, self._pivots, r, v, self.p):
-            return False
-        self.rank += 1
-        return True
-
-    def contains(self, vec: np.ndarray) -> bool:
-        return not np.any(self.reduce(vec))
-
-
-def _place(rows: np.ndarray, pivots: np.ndarray, r: int, v: np.ndarray, p: int) -> bool:
-    """Store v, residues already reduced by the reduced rows rows[:r], as row
-    r unless it is zero: scaled to a 1 at its first nonzero column, which is
-    cleared from rows[:r] to keep them reduced."""
-    nz = v.nonzero()[0]
-    if nz.size == 0:
-        return False
-    piv = nz[0]
-    v = v * inv_mod(v[piv], p) % p
-    if r:
-        col = rows[:r, piv]
-        hit = col.nonzero()[0]
-        if hit.size:
-            rows[hit] = (rows[hit] - np.outer(col[hit], v)) % p
-    rows[r] = v
-    pivots[r] = piv
-    return True
-
-
 class BlockEchelon:
     """Reduced row echelon basis over F_p of a subspace of F_p^d that is the
     sum of its parts in the coordinate blocks blocks[b] (ascending index
     arrays that partition 0..d-1): one basis per block, each in block
-    coordinates, in an array of sizes[b]^2 zeros made up front.  A vector of
-    block b reduces in one product over the rows of that block whose pivots
-    it meets, a sum of at most max(sizes) residue products, checked once here."""
+    coordinates, in an array of sizes[b]^2 zeros made up front.  Row i of a
+    block has a 1 at its pivot and a 0 at the block's other pivots, so a
+    vector of the block reduces in one product over the rows whose pivots it
+    meets, split so that each partial sum stays exact in int64.  One block,
+    [np.arange(d)], is the plain incremental echelon of F_p^d."""
 
     def __init__(self, p: int, blocks: list[np.ndarray]):
+        check_int64_sum(p, 1)
         self.p = p
+        self.terms = int64_terms(p)  # residue products per exact partial sum
         self.blocks = blocks
         self.sizes = [idx.size for idx in blocks]
-        check_int64_sum(p, max(self.sizes))
         self.rank = 0
         self.ranks = [0] * len(blocks)
         self.block_rows = [np.zeros((n, n), dtype=np.int64) for n in self.sizes]
         self.block_pivots = [np.zeros(n, dtype=np.int64) for n in self.sizes]
 
     def insert(self, b: int, v: np.ndarray) -> bool:
-        """Insert v, residues mod p in the coordinates of block b; True if it
-        enlarged the span."""
-        R, r = self.block_rows[b], self.ranks[b]
-        coef = v[self.block_pivots[b][:r]]
+        """Insert v, int64 residues mod p in the coordinates of block b; True
+        if it enlarged the span.  A new row is scaled to a 1 at its first
+        nonzero column, which is cleared from the block's other rows."""
+        p, R, P, r = self.p, self.block_rows[b], self.block_pivots[b], self.ranks[b]
+        coef = v[P[:r]]
         hit = coef.nonzero()[0]
-        if hit.size:
-            v = (v - coef[hit] @ R[hit]) % self.p
-        if not _place(R, self.block_pivots[b], r, v, self.p):
+        for s in range(0, hit.size, self.terms):
+            part = hit[s : s + self.terms]
+            v = (v - coef[part] @ R[part]) % p
+        nz = v.nonzero()[0]
+        if nz.size == 0:
             return False
+        piv = nz[0]
+        v = v * inv_mod(v[piv], p) % p
+        if r:
+            col = R[:r, piv]
+            hit = col.nonzero()[0]
+            if hit.size:
+                R[hit] = (R[hit] - np.outer(col[hit], v)) % p
+        R[r] = v
+        P[r] = piv
         self.ranks[b] += 1
         self.rank += 1
         return True
@@ -235,6 +186,19 @@ class BlockEchelon:
         row_of[pivots] = np.arange(self.rank)
         return out[row_of[row_of >= 0]]
 
+    def annihilator(self) -> list[np.ndarray]:
+        """Basis of the x with rows @ x = 0, one vector per free column f: 1
+        at f, 0 at the other free columns and -rows[i, f] at pivot i.  This
+        is kernel_mod_p(rows)'s basis, with no elimination: _echelon leaves a
+        reduced echelon matrix as it is."""
+        W = self.rows
+        pivots = (W != 0).argmax(axis=1)  # each row's leading 1
+        free = np.setdiff1d(np.arange(W.shape[1]), pivots)
+        X = np.zeros((free.size, W.shape[1]), dtype=np.int64)
+        X[np.arange(free.size), free] = 1
+        X[:, pivots] = -W[:, free].T % self.p
+        return list(X)
+
 
 class FractionEchelon:
     """Incremental echelon over Q for dense lists (characteristic-zero checks)."""
@@ -248,16 +212,13 @@ class FractionEchelon:
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduce(self, vec) -> list[Fraction]:
+    def insert(self, vec) -> bool:
+        """Insert a vector; True if it enlarged the span."""
         v = [Fraction(x) for x in vec]
         for row, piv in zip(self.rows, self.pivots):
             c = v[piv]
             if c:
                 v = [a - c * b for a, b in zip(v, row)]
-        return v
-
-    def insert(self, vec) -> bool:
-        v = self.reduce(vec)
         piv = next((i for i, x in enumerate(v) if x != 0), None)
         if piv is None:
             return False
@@ -266,6 +227,3 @@ class FractionEchelon:
         self.rows.append(v)
         self.pivots.append(piv)
         return True
-
-    def contains(self, vec) -> bool:
-        return all(x == 0 for x in self.reduce(vec))

@@ -659,7 +659,8 @@ def is_irreducible(rep: MatrixRep, seed: int = 0, trials: int = 50) -> Irreducib
     spins are graded: the weight blocks and their maps (_grading) are made
     once per call, and the dual spin reads them transposed.  A non-dual
     witness is the spun submodule's reduced echelon basis, rows by ascending
-    pivot; a dual one is kernel_mod_p's basis of the annihilator.  If
+    pivot; a dual one is the annihilator of the dual spin's basis, read off
+    its reduced rows (BlockEchelon.annihilator, kernel_mod_p's basis).  If
     dim N = 1 and both spins are full, the module is irreducible --
     absolutely, so the image of U is all d x d matrices (Burnside) and
     span_dim = d^2.  When the trials run out the verdict is "inconclusive",
@@ -692,8 +693,7 @@ def is_irreducible(rep: MatrixRep, seed: int = 0, trials: int = 50) -> Irreducib
                 u, G = (kernel_mod_p(A.T, p)[0], duals) if dual else (null[0], maps)
                 ech = _spin(u, blocks, G, p)
                 if ech.rank < d:
-                    W = ech.rows
-                    witness = kernel_mod_p(W, p) if dual else list(W)
+                    witness = ech.annihilator() if dual else list(ech.rows)
                     cert = {"method": "norton", "trial": t, "dual": dual, "witness_dim": len(witness)}
                     return IrreducibilityVerdict("submodule", witness=witness, certificate=cert)
             if len(null) == 1:

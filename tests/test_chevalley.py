@@ -13,7 +13,7 @@ from modlie.chevalley import (
     check_subalgebra,
     extend_by_cartan,
 )
-from modlie.linalg import DenseEchelon, FractionEchelon
+from modlie.linalg import FractionEchelon, rank_mod_p
 from modlie.roots import Root, build_root_system, cartan_integer, root_string
 
 
@@ -172,31 +172,31 @@ def test_mixed_algebras_rejected():
 def closure_dimension(span, L):
     """Independent oracle: iterate bracket-closure to a fixpoint and report
     the dimension of the resulting subalgebra."""
-    ech = DenseEchelon(L.p) if L.p else FractionEchelon(L.n)
     current = list(span)
-    for u in current:
-        ech.insert(np.array(u.dense()) if L.p else u.dense())
+    dim = span_dimension(current, L)
     changed = True
     while changed:
         changed = False
         fresh = []
-        for i, u in enumerate(current):
+        for u in current:
             for v in current:
                 w = bracket(u, v)
-                if w.is_zero:
-                    continue
-                vec = np.array(w.dense()) if L.p else w.dense()
-                if ech.insert(vec):
+                if not w.is_zero and span_dimension(current + fresh + [w], L) > dim:
                     fresh.append(w)
+                    dim += 1
                     changed = True
         current.extend(fresh)
-    return ech.rank
+    return dim
 
 
 def span_dimension(span, L):
-    ech = DenseEchelon(L.p) if L.p else FractionEchelon(L.n)
+    """Rank of the span: rank_mod_p over F_p, so that the oracle does not
+    use the incremental echelon that check_subalgebra uses."""
+    if L.p:
+        return rank_mod_p(np.array([u.dense() for u in span], dtype=np.int64).reshape(-1, L.n), L.p)
+    ech = FractionEchelon(L.n)
     for u in span:
-        ech.insert(np.array(u.dense()) if L.p else u.dense())
+        ech.insert(u.dense())
     return ech.rank
 
 
@@ -231,6 +231,26 @@ def test_not_closed_with_witness(b2_p7):
     i, j, w = verdict.witness
     assert w == bracket(span[i], span[j])
     assert closure_dimension(span, L) > span_dimension(span, L)
+
+
+def test_subalgebra_verdicts_at_the_largest_exact_prime():
+    # p = 3037000493 has p^2 < 2^63 < 2 p^2: the negative coefficients become
+    # residues near p, and the verdicts and witness pair are those at p = 7
+    rs = build_root_system("A", 2)
+    a, b = Root((1, -1, 0)), Root((0, 1, -1))
+    verdicts = []
+    for p in (7, 3037000493):
+        L = build_chevalley(rs, p)
+        closed = [3 * L.x(a), -2 * L.x(-a), -5 * L.coroot_expand(a) + 6 * L.coroot_expand(b), -L.coroot_expand(b)]
+        not_closed = [-L.x(a), 2 * L.coroot_expand(a), -3 * L.x(b)]
+        v1, v2 = check_subalgebra(closed, L), check_subalgebra(not_closed, L)
+        assert v1.closed == (closure_dimension(closed, L) == span_dimension(closed, L))
+        assert closure_dimension(not_closed, L) > span_dimension(not_closed, L)
+        i, j, w = v2.witness
+        assert w == bracket(not_closed[i], not_closed[j])
+        verdicts.append((v1.closed, v1.witness, v2.closed, i, j, sorted(w.coeffs)))
+    assert verdicts[0] == verdicts[1]
+    assert verdicts[0][:5] == (True, None, False, 0, 2)
 
 
 def test_extend_by_cartan_noop_when_contained(b2_p7):

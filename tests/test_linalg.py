@@ -6,7 +6,6 @@ import pytest
 from modlie.linalg import (
     PANEL,
     BlockEchelon,
-    DenseEchelon,
     Int64Overflow,
     FractionEchelon,
     _echelon,
@@ -63,62 +62,93 @@ def test_kernel_refuses_int64_overflow():
         kernel_mod_p(np.array([[1, p - 1, p - 1]]), p)
 
 
-def test_dense_echelon_membership():
-    ech = DenseEchelon(7)
-    assert ech.insert(np.array([1, 2, 3]))
-    assert ech.insert(np.array([0, 1, 1]))
-    assert not ech.insert(np.array([1, 3, 4]))  # sum of the first two
-    assert ech.contains(np.array([2, 4, 6]))
-    assert not ech.contains(np.array([0, 0, 1]))
+def test_one_block_echelon_membership():
+    ech = BlockEchelon(7, [np.arange(3)])
+    assert ech.insert(0, np.array([1, 2, 3]))
+    assert ech.insert(0, np.array([0, 1, 1]))
+    assert not ech.insert(0, np.array([1, 3, 4]))  # sum of the first two
+    assert not ech.insert(0, np.array([2, 4, 6]))
     assert ech.rank == 2
+    assert ech.insert(0, np.array([0, 0, 1]))
+    assert ech.rank == 3
 
 
 @pytest.mark.parametrize("p", [7, 3037000493])
-def test_dense_echelon_rows_stay_reduced(p):
+def test_one_block_echelon_rows_stay_reduced(p):
     rng = random.Random(p)
     base = [[rng.randrange(p) for _ in range(9)] for _ in range(6)]
     inserted = []
-    ech = DenseEchelon(p)
+    ech = BlockEchelon(p, [np.arange(9)])
     for _ in range(12):
         # combinations of the six base rows, some sparse: rank 6 in width 9
         coeffs = [rng.choice([0, 0, 1, rng.randrange(p)]) for _ in base]
         row = [sum(a * r[c] for a, r in zip(coeffs, base)) % p for c in range(9)]
         before = ech.rank
-        grew = ech.insert(np.array(row))
+        grew = ech.insert(0, np.array(row))
         inserted.append(row)
-        assert ech.rank == before + grew == python_rank_mod_p(inserted, p) == len(ech.rows) == len(ech.pivots)
-        assert ech.rows[:, ech.pivots].tolist() == np.eye(ech.rank, dtype=np.int64).tolist()
-        assert all(ech.contains(np.array(r)) for r in inserted)
+        assert ech.rank == before + grew == python_rank_mod_p(inserted, p) == len(ech.rows)
+        assert ech.rows.tolist() == gauss_jordan_mod_p(inserted, p)
+        assert not any(ech.insert(0, np.array(r)) for r in inserted)
 
 
-@pytest.mark.parametrize("p", [2, 7, 65537])
-def test_block_echelon_is_the_dense_echelon_of_its_blocks(p):
-    # a graded subspace of F_p^12 over four blocks of sizes 1..5, its vectors
-    # inserted block by block: the rows are the reduced echelon form of the
-    # whole subspace, by ascending pivot
-    rng = random.Random(p)
+def random_graded_echelon(rng, p, nvecs):
+    """A BlockEchelon over four blocks of sizes 1..5 that partition F_p^12,
+    with nvecs random vectors inserted block by block, and those vectors in
+    full coordinates."""
     order = list(range(12))
     rng.shuffle(order)
     blocks = [np.array(sorted(order[a:b])) for a, b in ((0, 1), (1, 4), (4, 7), (7, 12))]
-    ech, dense = BlockEchelon(p, blocks), DenseEchelon(p)
-    for _ in range(30):
+    ech, inserted = BlockEchelon(p, blocks), []
+    for _ in range(nvecs):
         b = rng.randrange(len(blocks))
         v = np.array([rng.choice([0, 1, rng.randrange(p)]) for _ in blocks[b]], dtype=np.int64)
         full = np.zeros(12, dtype=np.int64)
         full[blocks[b]] = v
-        assert ech.insert(b, v) == dense.insert(full)
-        assert ech.rank == sum(ech.ranks) == dense.rank
-    want = dense.rows[np.argsort(dense.pivots)]
-    assert np.array_equal(ech.rows, want)
-    assert ech.ranks == [np.count_nonzero(want[:, idx].any(axis=1)) for idx in blocks]
+        before = python_rank_mod_p(inserted, p) if inserted else 0
+        inserted.append(full.tolist())
+        assert ech.insert(b, v) == (python_rank_mod_p(inserted, p) > before)
+    return ech, inserted
 
 
-def test_block_echelon_refuses_blocks_beyond_exact_int64_sums():
-    p = 3037000493  # p^2 < 2^63 < 2 p^2: a block may hold one coordinate
+@pytest.mark.parametrize("p", [2, 7, 65537])
+def test_block_echelon_is_the_dense_echelon_of_its_blocks(p):
+    # a graded subspace of F_p^12, its vectors inserted block by block: the
+    # rows are the reduced echelon form of the dense vectors, by ascending
+    # pivot, and each block's rank is that of its part
+    ech, inserted = random_graded_echelon(random.Random(p), p, 30)
+    want = gauss_jordan_mod_p(inserted, p)
+    assert ech.rank == sum(ech.ranks) == len(want)
+    assert ech.rows.tolist() == want
+    assert ech.ranks == [np.count_nonzero(np.array(want)[:, idx].any(axis=1)) for idx in ech.blocks]
+
+
+@pytest.mark.parametrize("p", [2, 7, 65537])
+def test_annihilator_is_kernel_mod_p_of_the_rows(p):
+    # read off the reduced rows, the annihilator is kernel_mod_p's basis byte
+    # for byte, from the empty subspace to a full-rank one (an empty basis)
+    rng = random.Random(p)
+    spaces = [random_graded_echelon(rng, p, n)[0] for n in (0, 1, 3, 8, 15, 30)]
+    full = BlockEchelon(p, [np.arange(12)])
+    for v in np.eye(12, dtype=np.int64)[::-1]:
+        full.insert(0, v)
+    for ech in spaces + [full]:
+        got, want = ech.annihilator(), kernel_mod_p(ech.rows, p)
+        assert len(got) == len(want) == 12 - ech.rank
+        assert all(a.dtype == b.dtype == np.int64 and a.tobytes() == b.tobytes() for a, b in zip(got, want))
+    assert full.annihilator() == []
+
+
+def test_block_echelon_reduces_a_two_coordinate_block_exactly_at_the_int64_bound():
+    p = 3037000493  # p^2 < 2^63 < 2 p^2: each reduction sums one residue product at a time
     ech = BlockEchelon(p, [np.array([0]), np.array([1])])
     assert ech.insert(1, np.array([p - 1])) and ech.rows.tolist() == [[0, 1]]
-    with pytest.raises(Int64Overflow, match="int64"):
-        BlockEchelon(p, [np.array([0, 1])])
+    ech = BlockEchelon(p, [np.array([0, 1])])
+    rows = [[p - 1, p - 2], [p - 3, 5], [(2 * (p - 1) + 3 * (p - 3)) % p, (2 * (p - 2) + 15) % p]]
+    assert ech.insert(0, np.array(rows[0]))
+    assert ech.rows.tolist() == gauss_jordan_mod_p(rows[:1], p) == [[1, 2]]
+    assert ech.insert(0, np.array(rows[1]))
+    assert not ech.insert(0, np.array(rows[2]))  # 2 rows[0] + 3 rows[1]
+    assert ech.rows.tolist() == [[1, 0], [0, 1]]
 
 
 def test_kernel_dependency_witness():
@@ -143,7 +173,8 @@ def test_fraction_rank_and_echelon():
     ech = FractionEchelon(3)
     assert ech.insert([1, 2, 3])
     assert not ech.insert([2, 4, 6])
-    assert ech.contains([3, 6, 9])
+    assert not ech.insert([3, 6, 9])
+    assert ech.rank == 1
 
 
 def test_rank_mod_p_matches_fraction_rank_generic():
@@ -164,14 +195,13 @@ def test_elimination_refuses_residue_products_beyond_int64():
         rank_mod_p(A, p)
     with pytest.raises(Int64Overflow, match="int64"):
         kernel_mod_p(A, p)
-    ech = DenseEchelon(p)
     with pytest.raises(Int64Overflow, match="int64"):
-        ech.insert(A[0])
-    with pytest.raises(Int64Overflow, match="int64"):
-        ech.contains(A[1])
+        BlockEchelon(p, [np.arange(2)])
 
 
-def python_rank_mod_p(rows, p):
+def gauss_jordan_mod_p(rows, p):
+    """Reference reduced row echelon form over F_p in Python integers: the
+    nonzero rows, each with a 1 at its pivot and 0 at the other pivots."""
     rows = [[x % p for x in r] for r in rows]
     rank = 0
     for c in range(len(rows[0])):
@@ -186,7 +216,11 @@ def python_rank_mod_p(rows, p):
                 f = rows[i][c]
                 rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
         rank += 1
-    return rank
+    return rows[:rank]
+
+
+def python_rank_mod_p(rows, p):
+    return len(gauss_jordan_mod_p(rows, p))
 
 
 def test_elimination_exact_just_below_the_int64_bound():
@@ -200,9 +234,9 @@ def test_elimination_exact_just_below_the_int64_bound():
         combos = [[sum(a * r[c] for a, r in zip(cs, base)) % p for c in range(5)] for cs in coeffs]
         rows = base + combos
         assert rank_mod_p(np.array(rows), p) == python_rank_mod_p(rows, p) == k
-        ech = DenseEchelon(p)
-        assert all(ech.insert(np.array(row)) for row in base)
-        assert all(ech.contains(np.array(row)) for row in combos)
+        ech = BlockEchelon(p, [np.arange(5)])
+        assert all(ech.insert(0, np.array(row)) for row in base)
+        assert not any(ech.insert(0, np.array(row)) for row in combos)
 
 
 def one_pivot_echelon(A, p):
