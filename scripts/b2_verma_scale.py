@@ -18,11 +18,8 @@ import time
 
 from modlie.chevalley import build_chevalley
 from modlie.leebasis import (
-    assemble,
-    build_case_I,
     case_alpha,
-    gen_Bi,
-    solve_signs,
+    solved_candidate,
     verify_independence_truncated,
 )
 from modlie.redenv import (
@@ -67,11 +64,7 @@ def main() -> int:
     )
     print(f"{'singular constants':<42s} {singular}")
 
-    specs = build_case_I(L)
-    results = [solve_signs(s, L) for s in specs]
-    solved = [(s, r) for s, r in zip(specs, results) if r.status == "solved"]
-    bi = gen_Bi(L, alpha, seed=args.seed, count=len(solved))
-    cand = assemble([s for s, _ in solved], bi, [r.solved[0] for _, r in solved])
+    cand = solved_candidate(L, "I", seed=args.seed)
     rpt = timed(
         f"truncated independence (bound {args.bound})",
         lambda: verify_independence_truncated(cand, rep, args.bound),

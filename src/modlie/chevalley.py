@@ -31,11 +31,12 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import InputError
 from .linalg import BlockEchelon, FractionEchelon
 from .roots import Root, RootSystem, RootNotInSystem, cartan_integer, root_string
 
 
-class BadCharacteristic(ValueError):
+class BadCharacteristic(InputError):
     """Characteristic outside the supported range (0 or a prime >= 7)."""
 
 
@@ -47,7 +48,7 @@ class MixedAlgebras(ValueError):
     """Elements of different algebras were combined."""
 
 
-class NotCartanElement(ValueError):
+class NotCartanElement(InputError):
     """Expected an element of the coroot span."""
 
 

@@ -12,11 +12,11 @@ Commands
     check-subalgebra  closure verdict for a span (with optional Cartan extension)
 
 Exit codes: 0 all asserted checks passed; 1 a check produced a counterexample
-(with certificate); 2 usage or configuration error, including a p too large
-for exact int64 arithmetic, a span, chi/lambda key or --extend-h value that
-is not an element of L (or not Cartan), a lambda index beyond the rank, a
-config file that is not UTF-8 and an --out file that cannot be written;
-3 inconclusive verdicts present.  Warnings, such
+(with certificate); 2 usage or configuration error: an InputError, raised
+where its check is made (a p too large for int64 arithmetic, a key that is
+not an element of L, a lambda index beyond the rank, an independence order
+past the stack limit, a config file that is not UTF-8), or an --out file that
+cannot be written; 3 inconclusive verdicts present.  Warnings, such
 as running at a small characteristic, are written as one `warning:` line.  Reports are JSON with sorted keys: identical config and seed give
 byte-identical bytes.
 """
@@ -32,42 +32,31 @@ from dataclasses import dataclass, field, fields
 
 from . import expr as xp
 from .chevalley import (
-    BadCharacteristic,
     LieAlgebra,
-    NotCartanElement,
     SmallCharacteristic,
     build_chevalley,
     check_subalgebra,
     extend_by_cartan,
 )
+from .errors import InputError
 from .leebasis import (
-    assemble,
-    build_case_I,
-    build_case_II,
     case_alpha,
-    gen_Bi,
-    solve_signs,
+    solved_candidate,
     verification_report,
     verify_independence_truncated,
-    ExhaustedField,
 )
-from .linalg import Int64Overflow
 from .pbw import commutator, to_string
 from .redenv import (
     Character,
-    IncompatibleWeight,
-    ModuleTooLarge,
-    NonStandardCharacter,
-    NotModP,
     baby_verma,
     is_irreducible,
     rep_check_brackets,
     rep_check_restrictedness,
 )
-from .roots import UnsupportedRank, build_root_system, weyl_orbit
+from .roots import build_root_system, weyl_orbit
 
 
-class ConfigError(ValueError):
+class ConfigError(InputError):
     pass
 
 
@@ -162,11 +151,6 @@ def _build_algebra(cfg: RunConfig) -> LieAlgebra:
         ) from None
 
 
-def _require_family_B(cfg: RunConfig) -> None:
-    if cfg.family != "B":
-        raise ConfigError(f"template banks are defined for family B, got {cfg.family!r}")
-
-
 def _character(L: LieAlgebra, cfg: RunConfig) -> Character:
     values: dict[int, int] = {}
     for key, v in cfg.chi.items():
@@ -179,8 +163,6 @@ def _lambda(L: LieAlgebra, cfg: RunConfig) -> dict[int, int]:
     out: dict[int, int] = {}
     for key, v in cfg.lam.items():
         if xp.is_digits(key):
-            if not 1 <= int(key) <= L.l:
-                raise ConfigError(f"lambda index {key} is outside 1..{L.l}")
             out[int(key)] = v
             continue
         pos = _basis_position(L, key)
@@ -309,9 +291,6 @@ def _cmd_central(cfg: RunConfig) -> tuple[int, dict]:
 
 
 def _cmd_verify_lee(cfg: RunConfig) -> tuple[int, dict]:
-    _require_family_B(cfg)
-    if not cfg.p:
-        raise ConfigError("verify-lee needs p > 0: coefficient families live over F_p")
     L = _build_algebra(cfg)
     report = verification_report(L, cfg.case, seed=cfg.seed)
     s = report["summary"]
@@ -364,23 +343,9 @@ def _cmd_irreducible(cfg: RunConfig) -> tuple[int, dict]:
 
 
 def _cmd_independence(cfg: RunConfig) -> tuple[int, dict]:
-    _require_family_B(cfg)
-    if not cfg.p:
-        raise ConfigError("independence needs p > 0: coefficient families live over F_p")
     L = _build_algebra(cfg)
-    build = build_case_I if cfg.case == "I" else build_case_II
-    specs = build(L)
-    results = [solve_signs(s, L, c_value=cfg.c) for s in specs]
-    solved = [(s, r) for s, r in zip(specs, results) if r.status == "solved"]
-    if not solved:
-        raise ConfigError("no solvable slots at this rank/case")
-    alpha = case_alpha(L, cfg.case)
-    try:
-        bi = gen_Bi(L, alpha, seed=cfg.seed, count=len(solved))
-    except ExhaustedField as ex:
-        raise ConfigError(f"coefficient family unavailable: {ex}") from None
-    cand = assemble([s for s, _ in solved], bi, [r.solved[0] for _, r in solved])
-    chi = _character(L, cfg) if cfg.chi else Character(L, {L.xpos(-alpha): 1})
+    cand = solved_candidate(L, cfg.case, seed=cfg.seed, c_value=cfg.c)
+    chi = _character(L, cfg) if cfg.chi else Character(L, {L.xpos(-case_alpha(L, cfg.case)): 1})
     rep = baby_verma(L, chi, _lambda(L, cfg))
     rpt = verify_independence_truncated(cand, rep, cfg.bound)
     report = _report("independence", cfg, {
@@ -511,17 +476,7 @@ def main(argv: list[str] | None = None) -> int:
     except (xp.ParseError, xp.UnknownRoot) as ex:
         print(f"parse error: {ex}", file=sys.stderr)
         return 2
-    except (
-        xp.NotLieElement,
-        NotCartanElement,
-        BadCharacteristic,
-        UnsupportedRank,
-        NotModP,
-        NonStandardCharacter,
-        IncompatibleWeight,
-        ModuleTooLarge,
-        Int64Overflow,
-    ) as ex:
+    except InputError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
     except RecursionError:

@@ -24,21 +24,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chevalley import LieElement
+from .errors import InputError
 from .roots import Root, RootSystem
 
 
-class ParseError(ValueError):
+class ParseError(InputError):
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{message} at line {line}, column {col}")
         self.line = line
         self.col = col
 
 
-class UnknownRoot(ValueError):
+class UnknownRoot(InputError):
     """The root expression is not a root of the configured system."""
 
 
-class NotLieElement(ValueError):
+class NotLieElement(InputError):
     """The expression's value in U(L) does not lie in L."""
 
 

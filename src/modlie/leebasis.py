@@ -26,6 +26,7 @@ exponents below p feed the truncated-independence rank checks.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -34,13 +35,14 @@ import numpy as np
 
 from . import linalg, redenv
 from .chevalley import LieAlgebra, LieElement
+from .errors import InputError
 from .expr import Add, Const, Expr, Mul, Num, Pow, SignSlot, XAtom, HAtom, print_expr, to_ue
 from .pbw import UEElement, commutator, multiply, to_string, weight
 from .redenv import Character, ModuleTooLarge, baby_verma, is_irreducible, singular_constants
 from .roots import Root, cartan_integer
 
 
-class ExhaustedField(ValueError):
+class ExhaustedField(InputError):
     """No admissible coefficient family exists at this characteristic."""
 
 
@@ -233,7 +235,7 @@ def _fallback(L: LieAlgebra, alpha: Root, beta: Root) -> _Entry | None:
 
 def _build_case(L: LieAlgebra, case: str) -> list[ABSpec]:
     if L.rs.family != "B":
-        raise ValueError("template banks are defined for family B")
+        raise InputError(f"template banks are defined for family B, got {L.rs.family!r}")
     alpha = case_alpha(L, case)
     bank = _bank(L, case)
     specs: list[ABSpec] = []
@@ -447,7 +449,7 @@ def gen_Bi(L: LieAlgebra, alpha: Root, seed: int = 0, count: int | None = None) 
     from a seeded random search with exhaustive verification."""
     p = L.p
     if not p:
-        raise ValueError("coefficient families live over F_p")
+        raise InputError("coefficient families live over F_p")
     l = L.l
     count = 2 * L.m if count is None else count
     curve = [(t, tuple(pow(t, k, p) for k in range(l))) for t in range(p)]
@@ -524,24 +526,36 @@ class LeeCandidate:
                 out = multiply(out, self.factor_element(j) ** e)
         return out
 
+    def tuple_count(self, bound: int) -> int:
+        """len(tuples_with_bound(bound)), by inclusion-exclusion over the
+        exponents forced above p - 1."""
+        k = self.size
+        return sum((-1) ** j * math.comb(k, j) * math.comb(bound - j * self.p + k, k)
+                   for j in range(k + 1) if j * self.p <= bound)
+
     def tuples_with_bound(self, bound: int) -> list[tuple[int, ...]]:
-        out = []
-        for tup in itertools.product(range(min(bound, self.p - 1) + 1), repeat=self.size):
-            if sum(tup) <= bound:
-                out.append(tup)
-        out.sort()
-        return out
+        """The exponent tuples with sum <= bound, in ascending order."""
+
+        def tails(k: int, left: int):
+            if k == 0:
+                yield ()
+                return
+            for e in range(min(left, self.p - 1) + 1):
+                yield from ((e,) + t for t in tails(k - 1, left - e))
+
+        return list(tails(self.size, bound))
 
 
 def assemble(
     specs: list[ABSpec],
     bi: BiFamily,
     signs: list[tuple[int, ...]],
+    c_value: int = 0,
 ) -> LeeCandidate:
     """Pair solved templates with Cartan elements in slot order.
 
-    Each template is re-expanded with its signs at c = 0 and verified to
-    commute with x_alpha; a non-commuting entry raises UnsolvedSpec.  The
+    Each template is re-expanded with its signs at c = c_value and verified
+    to commute with x_alpha; a non-commuting entry raises UnsolvedSpec.  The
     candidate is partial when fewer than 2m slots are usable.
     """
     L = bi.algebra
@@ -556,7 +570,7 @@ def assemble(
     for spec, sgn, B in zip(specs, signs, bi.elements):
         if spec.status != "ok":
             raise UnsolvedSpec(f"slot {spec.slot} target {spec.target.label}: {spec.status}")
-        A = expand_spec(spec, L, sgn)
+        A = expand_spec(spec, L, sgn, c_value)
         if not commutator(xa, A).is_zero:
             raise UnsolvedSpec(
                 f"slot {spec.slot} target {spec.target.label}: signs {sgn} do not commute"
@@ -565,6 +579,16 @@ def assemble(
         targets.append(spec.target)
     case = specs[0].case if specs else "?"
     return LeeCandidate(L, case, pairs, targets, partial=len(pairs) < 2 * L.m)
+
+
+def solved_candidate(L: LieAlgebra, case: str, seed: int = 0, c_value: int = 0) -> LeeCandidate:
+    """The case's candidate at c = c_value: its slots that solve there, each
+    with its first commuting signs, paired with gen_Bi's family for their
+    count."""
+    results = [solve_signs(s, L, c_value=c_value) for s in _build_case(L, case)]
+    solved = [r for r in results if r.status == "solved"]
+    bi = gen_Bi(L, case_alpha(L, case), seed=seed, count=len(solved))
+    return assemble([r.spec for r in solved], bi, [r.solved[0] for r in solved], c_value)
 
 
 # -- verification reports ---------------------------------------------------
@@ -598,8 +622,21 @@ def verify_independence_truncated(cand: LeeCandidate, rep, bound: int, order=Non
     coefficient combination: the tuple that first falls into the span of the
     earlier ones with coefficient 1, plus those earlier independent tuples.
     An order that repeats a tuple raises ValueError; a stack of more than
-    MAX_DENSE_DIM^2 entries raises ModuleTooLarge once the matrices formed fill that many."""
+    MAX_DENSE_DIM^2 entries raises ModuleTooLarge once the matrices formed fill that many.
+    With no order, more tuples than dimensions cannot have images of full
+    rank, and the stack starts with I, so they raise before being listed
+    when the tuples times the dimension exceed that limit."""
     p = cand.p
+
+    def check_stack(n: int, cells: int) -> None:
+        if n * cells > redenv.MAX_DENSE_DIM**2:
+            raise ModuleTooLarge(
+                f"independence stack of {n} tuples x {cells} cells exceeds the limit of"
+                f" {redenv.MAX_DENSE_DIM}^2 entries"
+            )
+
+    if order is None and (n := cand.tuple_count(bound)) > rep.dim:
+        check_stack(n, rep.dim)
     tuples = cand.tuples_with_bound(bound) if order is None else list(order)
     for tup in tuples:
         cand.check_exponents(tup)
@@ -626,11 +663,7 @@ def verify_independence_truncated(cand: LeeCandidate, rep, bound: int, order=Non
         M = image(tup, rep.identity(), rep.matmul).tocoo()
         mats.append((M, M.row.astype(np.int64) * rep.dim + M.col))
         cells = np.union1d(cells, mats[-1][1])
-        if len(tuples) * cells.size > redenv.MAX_DENSE_DIM**2:
-            raise ModuleTooLarge(
-                f"independence stack of {len(tuples)} tuples x {cells.size} cells exceeds the limit of"
-                f" {redenv.MAX_DENSE_DIM}^2 entries"
-            )
+        check_stack(len(tuples), cells.size)
     S = np.zeros((len(tuples), cells.size), dtype=np.int64)
     for i, (M, f) in enumerate(mats):
         S[i, np.searchsorted(cells, f)] = M.data

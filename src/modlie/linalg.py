@@ -26,12 +26,14 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import InputError
+
 
 def inv_mod(a: int, p: int) -> int:
     return pow(int(a) % p, -1, p)
 
 
-class Int64Overflow(ValueError):
+class Int64Overflow(InputError):
     """p is too large for exact int64 arithmetic on residues."""
 
 
@@ -120,6 +122,23 @@ def kernel_mod_p(A: np.ndarray, p: int) -> list[np.ndarray]:
     for row in range(len(pivots) - 1, -1, -1):
         X[:, pivots[row]] = (-(X @ M[row])) % p
     return list(X)
+
+
+def null_vector(A: np.ndarray, p: int) -> tuple[np.ndarray | None, int]:
+    """(kernel_mod_p(A, p)[0] or None when the kernel is 0, the nullity) from
+    one elimination.  The first free column fc follows the pivots 0..fc-1,
+    and the vector is 0 past fc, so only those pivot rows are back-substituted."""
+    M, pivots = _echelon(A, p)
+    ncols = M.shape[1]
+    check_int64_sum(p, ncols)
+    fc = next((c for c, piv in enumerate(pivots) if c != piv), len(pivots))
+    if fc == ncols:
+        return None, 0
+    x = np.zeros(ncols, dtype=np.int64)
+    x[fc] = 1
+    for row in range(fc - 1, -1, -1):
+        x[row] = -(M[row, row + 1 : fc + 1] @ x[row + 1 : fc + 1]) % p
+    return x, ncols - len(pivots)
 
 
 class BlockEchelon:

@@ -21,19 +21,20 @@ import numpy as np
 import scipy.sparse as sp
 
 from .chevalley import LieAlgebra, MixedAlgebras
-from .linalg import BlockEchelon, check_int64_sum, kernel_mod_p, rank_mod_p
+from .errors import InputError
+from .linalg import BlockEchelon, check_int64_sum, null_vector, rank_mod_p
 from .pbw import Mono, UEElement
 
 
-class NotModP(ValueError):
+class NotModP(InputError):
     """Operation requires a positive characteristic."""
 
 
-class NonStandardCharacter(ValueError):
+class NonStandardCharacter(InputError):
     """Baby Verma induction needs chi = 0 on the positive root vectors."""
 
 
-class IncompatibleWeight(ValueError):
+class IncompatibleWeight(InputError):
     """chi(h) != 0 on the named simple coroot: t^p = t on F_p, so
     lambda(h)^p - lambda(h) = chi(h)^p has no solution there."""
 
@@ -57,7 +58,7 @@ MAX_MODULE_DIM = 2**15
 MAX_DENSE_DIM = 2**12
 
 
-class ModuleTooLarge(ValueError):
+class ModuleTooLarge(InputError):
     """The module has more than MAX_MODULE_DIM dimensions (baby_verma) or more
     than MAX_DENSE_DIM (is_irreducible), a component of rho(u)'s trimmed core
     more than MAX_DENSE_DIM vertices while some c is open (_singular), or the
@@ -143,8 +144,10 @@ class MatrixRep:
     chi: Character
     lam: dict[int, int]
     # reduced PBW monomial -> (its matrix, that matrix's diagonal or None),
-    # read and written only by _monomial_matrix; the generators must not
-    # change after an evaluation (dataclasses.replace gives a fresh memo)
+    # read and written only by _monomial_matrix, and "grading" -> _grading's
+    # blocks and maps with their transposes, read and written only by
+    # is_irreducible; the generators must not change after an evaluation or
+    # a test (dataclasses.replace gives a fresh memo)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def identity(self) -> sp.csr_matrix:
@@ -204,7 +207,7 @@ def baby_verma(L: LieAlgebra, chi: Character, lam: dict[int, int]) -> MatrixRep:
     p, m, n = L.p, L.m, L.n
     bad = [i for i in lam if i not in range(1, L.l + 1)]
     if bad:
-        raise ValueError(f"lambda keys {bad} are outside 1..{L.l}")
+        raise InputError(f"lambda keys {bad} are outside 1..{L.l}")
     lam = {i: lam.get(i, 0) % p for i in range(1, L.l + 1)}
     for i in range(1, L.l + 1):
         if chi.value(L.hpos(i)):
@@ -632,14 +635,15 @@ def _eigenvalues(theta: sp.csr_matrix, v: np.ndarray, p: int) -> np.ndarray:
     """Roots in F_p of the minimal polynomial g of v under theta, hence
     eigenvalues of theta.  The Krylov vectors theta^k v, k = 0..d, are the
     columns of K; the first dependent one is column deg g, so the first
-    kernel vector of K holds g's coefficients, with zeros past deg g."""
+    kernel vector of K (null_vector) holds g's coefficients, with zeros
+    past deg g."""
     d = v.size
     K = np.empty((d + 1, d), dtype=np.int64)
     K[0] = v
     for k in range(d):
         K[k + 1] = (theta @ K[k]) % p
     values = np.zeros(p, dtype=np.int64)
-    for coef in kernel_mod_p(K.T, p)[0][::-1]:  # Horner at every point of F_p
+    for coef in null_vector(K.T, p)[0][::-1]:  # Horner at every point of F_p
         values = (values * np.arange(p) + coef) % p
     return np.nonzero(values == 0)[0]
 
@@ -657,14 +661,16 @@ def is_irreducible(rep: MatrixRep, seed: int = 0, trials: int = 50) -> Irreducib
     ker((theta - c)^T) under their transposes; a proper spin, or the
     annihilator of a proper dual spin, is returned as a submodule.  Both
     spins are graded: the weight blocks and their maps (_grading) are made
-    once per call, and the dual spin reads them transposed.  A non-dual
-    witness is the spun submodule's reduced echelon basis, rows by ascending
-    pivot; a dual one is the annihilator of the dual spin's basis, read off
-    its reduced rows (BlockEchelon.annihilator, kernel_mod_p's basis).  If
-    dim N = 1 and both spins are full, the module is irreducible --
-    absolutely, so the image of U is all d x d matrices (Burnside) and
-    span_dim = d^2.  When the trials run out the verdict is "inconclusive",
-    never a silent "irreducible"; so trials=0 gives it at every dim > 1.
+    once per module and kept in its memo, and the dual spin reads them
+    transposed.  Only the first null vector is formed (null_vector).  A
+    non-dual witness is the spun submodule's reduced echelon basis, rows by
+    ascending pivot; a dual one is the annihilator of the dual spin's basis,
+    read off its reduced rows (BlockEchelon.annihilator, kernel_mod_p's
+    basis).  If dim N = 1 and both spins are full, the module is
+    irreducible -- absolutely, so the image of U is all d x d matrices
+    (Burnside) and span_dim = d^2.  When the trials run out the verdict is
+    "inconclusive", never a silent "irreducible"; so trials=0 gives it at
+    every dim > 1.
     Above MAX_DENSE_DIM it raises ModuleTooLarge before allocating."""
     p, d = rep.p, rep.dim
     if d == 1:
@@ -673,8 +679,10 @@ def is_irreducible(rep: MatrixRep, seed: int = 0, trials: int = 50) -> Irreducib
         raise ModuleTooLarge(f"irreducibility test at dimension {d} exceeds the limit of {MAX_DENSE_DIM}")
     check_int64_sum(p, d)  # each product below sums d residue products
     positions = [b.position for b in rep.algebra.basis]
-    blocks, maps = _grading(rep)
-    duals = _transposed(maps)
+    if "grading" not in rep._memo:
+        blocks, maps = _grading(rep)
+        rep._memo["grading"] = blocks, maps, _transposed(maps)
+    blocks, maps, duals = rep._memo["grading"]
     U = rep.algebra.enveloping()
     rng = random.Random(seed)
     for t in range(trials):
@@ -688,15 +696,15 @@ def is_irreducible(rep: MatrixRep, seed: int = 0, trials: int = 50) -> Irreducib
         theta = theta.toarray()
         for c in roots:
             A = (theta - c * np.eye(d, dtype=np.int64)) % p
-            null = kernel_mod_p(A, p)
+            u, nullity = null_vector(A, p)
             for dual in (False, True):
-                u, G = (kernel_mod_p(A.T, p)[0], duals) if dual else (null[0], maps)
+                u, G = (null_vector(A.T, p)[0], duals) if dual else (u, maps)
                 ech = _spin(u, blocks, G, p)
                 if ech.rank < d:
                     witness = ech.annihilator() if dual else list(ech.rows)
                     cert = {"method": "norton", "trial": t, "dual": dual, "witness_dim": len(witness)}
                     return IrreducibilityVerdict("submodule", witness=witness, certificate=cert)
-            if len(null) == 1:
+            if nullity == 1:
                 cert = {"method": "norton", "trial": t, "word": word, "eigenvalue": int(c),
                         "nullity": 1, "spin_dims": [d, d]}
                 return IrreducibilityVerdict("irreducible", span_dim=d * d, certificate=cert)

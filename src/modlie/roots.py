@@ -20,8 +20,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+from .errors import InputError
 
-class UnsupportedRank(ValueError):
+
+class UnsupportedRank(InputError):
     """Requested rank is outside the family's supported range."""
 
 

@@ -1,14 +1,18 @@
 import hashlib
+import importlib
 import json
 import os
 import pathlib
+import pkgutil
 import subprocess
 import sys
 from contextlib import nullcontext
 
 import pytest
 
+import modlie
 from modlie.cli import ConfigError, RunConfig, load_config_file, main, run
+from modlie.errors import InputError
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -142,6 +146,12 @@ BAD_INPUTS = [
     (["irreducible", "--family", "A", "--rank", "1", "--p", "7", "--lambda", "²=1"], None, "bad basis token '²'"),
     (["roots"], "p=\xff\n", "not UTF-8"),
     (["roots", "--out", "missing/x.json"], None, "error: cannot write missing/x.json: No such file"),
+    # 11^8 tuples of case II, refused before they are listed
+    (
+        ["independence", "--family", "B", "--rank", "2", "--p", "11", "--case", "II", "--bound", "99"],
+        None,
+        "independence stack of 214358881 tuples x 14641 cells exceeds",
+    ),
 ]
 
 
@@ -158,6 +168,17 @@ def test_bad_input_exits_two_with_one_line(tmp_path, monkeypatch, capsys, argv, 
     assert out == ""
     assert fragment in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_every_refusal_is_an_input_error():
+    # main maps InputError to exit 2, so a refusal outside it would exit 1 with a traceback
+    programming_errors = {"MixedAlgebras", "ArityMismatch", "UnsolvedSpec"}
+    modules = [importlib.import_module(f"modlie.{m.name}") for m in pkgutil.iter_modules(modlie.__path__)
+               if m.name != "__main__"]
+    defined = [obj for module in modules for obj in vars(module).values()
+               if isinstance(obj, type) and issubclass(obj, ValueError) and obj.__module__ == module.__name__]
+    assert len(defined) == 18  # InputError, 14 refusals and the 3 programming errors
+    assert {cls.__name__ for cls in defined if not issubclass(cls, InputError)} == programming_errors
 
 
 def test_config_file_roundtrip(tmp_path, capsys):

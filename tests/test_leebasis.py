@@ -22,6 +22,7 @@ from modlie.leebasis import (
     pairwise_distinct_normal_forms,
     sl2_pair_specs,
     solve_signs,
+    solved_candidate,
     verification_report,
     verify_independence_truncated,
 )
@@ -242,6 +243,26 @@ def partial_candidate(b2_p7, case1_b2):
     solved = [(s, r) for s, r in zip(specs, results) if r.status == "solved"]
     bi = gen_Bi(b2_p7, E1B2, seed=0, count=len(solved))
     return assemble([s for s, _ in solved], bi, [r.solved[0] for _, r in solved])
+
+
+def test_solved_candidate_holds_each_slot_at_its_c(b2_p7, case1_b2):
+    # the independence command's candidate at --c 3
+    specs, results = case1_b2
+    solved = [(s, r.solved[0]) for s, r in zip(specs, (r.at_c(3) for r in results)) if r.status == "solved"]
+    cand, at_zero = solved_candidate(b2_p7, "I", c_value=3), solved_candidate(b2_p7, "I")
+    assert cand.targets == [s.target for s, _ in solved]
+    assert [A for _, A in cand.pairs] == [expand_spec(s, b2_p7, signs, c_value=3) for s, signs in solved]
+    assert [A for _, A in cand.pairs] != [A for _, A in at_zero.pairs]
+    assert [B for B, _ in cand.pairs] == [B for B, _ in at_zero.pairs]
+
+
+def test_tuples_with_bound_are_the_ascending_tuples_of_small_sum(partial_candidate):
+    p, k = partial_candidate.p, partial_candidate.size
+    every = list(itertools.product(range(p), repeat=k))
+    for bound in range(-1, k * (p - 1) + 2):
+        want = [tup for tup in every if sum(tup) <= bound]
+        assert partial_candidate.tuples_with_bound(bound) == want
+        assert partial_candidate.tuple_count(bound) == len(want)
 
 
 def test_assemble_partial_candidate(partial_candidate):
@@ -591,6 +612,22 @@ def test_independence_stack_limit_raises_before_every_matrix_is_formed(monkeypat
     # the factor matrices come from the module's warm memo, so every product
     # formed is one of the first matrix; unlimited, the fallback formed all 24
     assert len(calls) == sum(first) == 2 and every >= sum(map(sum, order)) == 24
+
+
+def test_independence_refuses_more_tuples_than_the_stack_admits_before_listing_them(
+    monkeypatch, zero_rep, partial_candidate
+):
+    # 15 tuples on the 1-dim zero rep: images of full rank are impossible,
+    # and the stack starts with I, so the stack guard's refusal comes first
+    import modlie.redenv
+
+    def forbidden(self, bound):
+        raise AssertionError("tuples listed")
+
+    monkeypatch.setattr(modlie.redenv, "MAX_DENSE_DIM", 3)
+    monkeypatch.setattr(type(partial_candidate), "tuples_with_bound", forbidden)
+    with pytest.raises(ModuleTooLarge, match="15 tuples x 1 cells exceeds the limit of 3"):
+        verify_independence_truncated(partial_candidate, zero_rep, 2)
 
 
 def test_rep_cross_check_reuses_the_solve(monkeypatch, b2_p7):

@@ -12,6 +12,7 @@ from modlie.linalg import (
     check_int64_sum,
     int64_terms,
     kernel_mod_p,
+    null_vector,
     rank_mod_p,
 )
 
@@ -311,6 +312,28 @@ def test_blocked_echelon_matches_the_one_pivot_loop(p):
         # the one kernel basis with a 1 at its own free column and 0 at the others
         assert K[:, free].tolist() == np.eye(free.size, dtype=np.int64).tolist()
         assert not ((A % p) @ K.T % p).any()
+
+
+@pytest.mark.parametrize("p", [2, 7, 65537, 3037000493])
+def test_null_vector_is_the_first_kernel_vector(p):
+    rng = np.random.default_rng(p % 1000)
+    mats = [rng.integers(0, p, size=shape) for shape in ((3, 7), (7, 7), (9, 4), (40, 30), (5, 1))]
+    mats += [rng.integers(0, 3, size=(8, k)) @ rng.integers(0, 3, size=(k, 9)) for k in (1, 4)]  # rank <= k
+    mats += [np.eye(4, dtype=np.int64), np.zeros((2, 1), dtype=np.int64), np.zeros((3, 5), dtype=np.int64)]
+    seen = set()
+    for A in mats:
+        if A.shape[1] > int64_terms(p):  # both refuse: the back substitution sums ncols products
+            with pytest.raises(Int64Overflow):
+                kernel_mod_p(A, p)
+            with pytest.raises(Int64Overflow):
+                null_vector(A, p)
+            continue
+        K = kernel_mod_p(A, p)
+        v, nullity = null_vector(A, p)
+        assert nullity == len(K)
+        assert v is None if not K else (v.dtype == K[0].dtype and v.tobytes() == K[0].tobytes())
+        seen.add(nullity > 0)
+    assert seen == {False, True}  # full column rank and a kernel, at every p
 
 
 @pytest.mark.parametrize("p", [2, 7, 65537])

@@ -872,6 +872,21 @@ def test_grading_falls_back_before_splitting_a_submodule_across_blocks():
     assert _spin(u, blocks, maps, p).rank == 5
 
 
+@pytest.mark.parametrize("chi", [{(-1,): 1}, {}])  # irreducible, and a dual witness
+def test_grading_is_built_once_per_module(monkeypatch, chi):
+    import modlie.redenv as redenv
+
+    L, character = pinned_module("A", 1, 67, chi)
+    rep = baby_verma(L, character, {})
+    built = []
+    monkeypatch.setattr(redenv, "_grading", lambda rep: built.append(rep) or _grading(rep))
+    first, second = is_irreducible(rep), is_irreducible(rep)
+    assert len(built) == 1
+    assert (first.status, first.certificate) == (second.status, second.certificate)
+    assert first.status == ("irreducible" if chi else "submodule")
+    assert np.array_equal(np.array(first.witness), np.array(second.witness))
+
+
 def test_restricted_monomial_count_a1():
     # the reduced algebra's monomial basis has p^(dim L) elements, and reduce
     # lands inside it: spot-check by enumeration at rank one, p = 3
